@@ -194,12 +194,15 @@ fn bench_filter_cache(exp: &mut Experiment, scale: Scale, queries: &[Vec<u8>]) {
     let runs = scale.pick(3, 10);
 
     let mut cached_us = Vec::new();
+    let mut cached_ns_per_node = Vec::new();
     let mut uncached_us = Vec::new();
     for &depth in &depths {
+        let mut nodes = 0usize;
         for q in &queries[..n] {
             let a = select_blocks_best_first(&curve, &model, q, depth, alpha, max_blocks);
             let b = select_blocks_best_first_uncached(&curve, &model, q, depth, alpha, max_blocks);
             assert_outcomes_identical(&a, &b, &format!("depth {depth}"));
+            nodes += a.nodes_expanded;
         }
         let dc = mean_time(1, runs, || {
             for q in &queries[..n] {
@@ -219,11 +222,16 @@ fn bench_filter_cache(exp: &mut Experiment, scale: Scale, queries: &[Vec<u8>]) {
             dc.as_secs_f64() * 1e6 / n as f64,
             du.as_secs_f64() * 1e6 / n as f64,
         );
+        // Cost per expanded node: the filter's unit of work, independent of
+        // how many nodes a depth needs.
+        let ns_node = dc.as_secs_f64() * 1e9 / nodes as f64;
         println!(
-            "filter   depth={depth:2}  cached {c:9.1} µs/q  uncached {u:9.1} µs/q  ({:.2}x)",
+            "filter   depth={depth:2}  cached {c:9.1} µs/q ({ns_node:6.1} ns/node)  \
+             uncached {u:9.1} µs/q  ({:.2}x)",
             u / c
         );
         cached_us.push(c);
+        cached_ns_per_node.push(ns_node);
         uncached_us.push(u);
     }
     let xs: Vec<f64> = depths.iter().map(|&d| f64::from(d)).collect();
@@ -239,6 +247,11 @@ fn bench_filter_cache(exp: &mut Experiment, scale: Scale, queries: &[Vec<u8>]) {
         "filter_cached_us_per_query",
         xs.clone(),
         cached_us,
+    ));
+    exp.push_series(Series::new(
+        "filter_cached_ns_per_node",
+        xs.clone(),
+        cached_ns_per_node,
     ));
     exp.push_series(Series::new("filter_uncached_us_per_query", xs, uncached_us));
 }

@@ -192,10 +192,13 @@ pub(crate) fn query_coords(q: &[u8]) -> Vec<f64> {
     q.iter().map(|&c| f64::from(c)).collect()
 }
 
+/// Max-heap entry of the best-first descent: a block's mass and the arena
+/// slot holding the block itself. Sift steps move these 16-byte entries
+/// while the blocks (~190 bytes each) stay put in the arena.
 #[derive(Debug)]
 struct HeapNode {
     mass: f64,
-    block: Block,
+    slot: usize,
 }
 
 impl PartialEq for HeapNode {
@@ -211,7 +214,10 @@ impl PartialOrd for HeapNode {
 }
 impl Ord for HeapNode {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by mass; masses are finite non-negative by construction.
+        // Max-heap by mass alone; masses are finite non-negative by
+        // construction. The slot never takes part: `BinaryHeap`'s sift
+        // sequence depends only on comparison results, so pop and tie order
+        // are those of a heap holding the blocks inline.
         self.mass
             .partial_cmp(&other.mass)
             .unwrap_or(Ordering::Equal)
@@ -337,10 +343,16 @@ fn best_first_impl(
     // the root mass. Clamp α so such queries terminate with the best
     // achievable coverage instead of exhausting the whole partition.
     let alpha = alpha.min(root_mass * (1.0 - 1e-9));
+    // Blocks live in `arena`; the heap orders their slots. A popped slot
+    // goes on `free` and is reused by the next child, so the arena never
+    // holds more blocks than the heap has entries at its deepest.
+    let mut arena = Vec::with_capacity(1024);
+    let mut free = Vec::new();
     let mut heap = BinaryHeap::with_capacity(1024);
+    arena.push(root);
     heap.push(HeapNode {
         mass: root_mass,
-        block: root,
+        slot: 0,
     });
 
     let mut out = Vec::new();
@@ -349,8 +361,8 @@ fn best_first_impl(
     let mut truncated = false;
     let mut since_check = 0usize;
 
-    while let Some(node) = heap.pop() {
-        if node.mass <= 0.0 {
+    while let Some(HeapNode { mass, slot }) = heap.pop() {
+        if mass <= 0.0 {
             break; // everything left is massless
         }
         if let Some(ctx) = ctx {
@@ -363,12 +375,14 @@ fn best_first_impl(
                 }
             }
         }
-        if node.block.depth() == depth {
+        free.push(slot);
+        let block = &arena[slot];
+        if block.depth() == depth {
             out.push(ScoredBlock {
-                block: node.block,
-                score: node.mass,
+                block: *block,
+                score: mass,
             });
-            acc += node.mass;
+            acc += mass;
             if acc >= alpha {
                 break;
             }
@@ -379,17 +393,30 @@ fn best_first_impl(
             continue;
         }
         nodes += 1;
-        let axis = node.block.next_split_axis(curve);
-        let parent_factor = factor(&node.block, axis);
-        let children = node.block.split(curve);
+        let axis = block.next_split_axis(curve);
+        let parent_factor = factor(block, axis);
+        let children = block.split(curve);
         for child in children {
-            let mass = if parent_factor > 0.0 {
-                node.mass / parent_factor * factor(&child, axis)
+            let child_mass = if parent_factor > 0.0 {
+                mass / parent_factor * factor(&child, axis)
             } else {
                 0.0
             };
-            if mass > 0.0 {
-                heap.push(HeapNode { mass, block: child });
+            if child_mass > 0.0 {
+                let slot = match free.pop() {
+                    Some(s) => {
+                        arena[s] = child;
+                        s
+                    }
+                    None => {
+                        arena.push(child);
+                        arena.len() - 1
+                    }
+                };
+                heap.push(HeapNode {
+                    mass: child_mass,
+                    slot,
+                });
             }
         }
     }

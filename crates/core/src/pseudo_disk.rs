@@ -1943,6 +1943,7 @@ mod tests {
     use crate::fingerprint::RecordBatch;
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn synthetic_batch(dims: usize, n: usize, seed: u64) -> RecordBatch {
         let mut batch = RecordBatch::with_capacity(dims, n);
@@ -1960,10 +1961,24 @@ mod tests {
         batch
     }
 
+    /// A temp path unique to this call: tests run in parallel and several
+    /// share a name (`build_pair` with the same `n`), so a per-process
+    /// counter keeps one test's `remove_file` off another's index.
     fn tmpfile(name: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("s3_pseudo_disk_test_{name}_{}", std::process::id()));
+        p.push(format!(
+            "s3_pseudo_disk_test_{name}_{}_{seq}",
+            std::process::id()
+        ));
         p
+    }
+
+    /// Removes a test index and its sketch sidecar.
+    fn cleanup(path: &Path) {
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(Sketch::sidecar_path(path)).ok();
     }
 
     fn build_pair(n: usize) -> (S3Index, PathBuf) {
@@ -1991,7 +2006,7 @@ mod tests {
         assert_eq!(disk.curve(), idx.curve());
         assert_eq!(disk.version(), 2);
         disk.verify().unwrap();
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2002,7 +2017,7 @@ mod tests {
             DiskIndex::open(&path),
             Err(IndexError::Format { .. })
         ));
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2011,7 +2026,7 @@ mod tests {
         let mut tmp = path.file_name().unwrap().to_os_string();
         tmp.push(".tmp");
         assert!(!path.with_file_name(tmp).exists());
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2035,7 +2050,7 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2063,7 +2078,7 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "query {qi}");
         }
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2094,7 +2109,7 @@ mod tests {
         );
         assert!(h.p99().unwrap() <= h.max);
         assert!(Duration::from_nanos(h.sum) <= batch.timing.load + Duration::from_micros(10));
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2113,7 +2128,7 @@ mod tests {
         for m in &batch.matches[0] {
             assert!(m.dist_sq.unwrap() <= eps * eps);
         }
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2159,7 +2174,7 @@ mod tests {
             assert_eq!(a.stats[qi], c.stats[qi]);
             assert_eq!(a.matches[qi].len(), c.matches[qi].len());
         }
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2182,7 +2197,7 @@ mod tests {
             }
             other => panic!("expected BudgetTooSmall, got {other}"),
         }
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2202,7 +2217,7 @@ mod tests {
                 got: 3
             }
         ));
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2214,7 +2229,7 @@ mod tests {
         let batch = disk.stat_query_batch(&[], &model, &opts, u64::MAX).unwrap();
         assert!(batch.matches.is_empty());
         assert_eq!(batch.timing.sections_loaded, 0);
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2241,7 +2256,7 @@ mod tests {
         // Ten times the bandwidth: one query suffices.
         let n = disk.suggest_nsig(44.0 * 1e7, Duration::from_millis(1));
         assert_eq!(n, 1);
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2249,7 +2264,7 @@ mod tests {
         let (_idx, path) = build_pair(100);
         let disk = DiskIndex::open(&path).unwrap();
         assert_eq!(disk.data_bytes(), 100 * 44);
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -2277,7 +2292,7 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
     }
 
     fn mem_index(n: usize, opts: WriteOpts) -> (S3Index, Vec<u8>) {
@@ -2286,7 +2301,7 @@ mod tests {
         let path = tmpfile(&format!("mem{n}_{}", opts.block_size));
         DiskIndex::write_with(&idx, &path, opts).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(path).ok();
+        cleanup(&path);
         (idx, bytes)
     }
 
