@@ -1,6 +1,6 @@
-//! Hot-path benchmark (PR3): SIMD distance kernels, filter mass caching and
-//! the work-stealing batch scheduler, each measured against the code path it
-//! replaced. Writes `results/BENCH_PR3.json`.
+//! Hot-path benchmark: SIMD distance kernels and filter mass caching,
+//! each measured against the code path it replaced, and the work-stealing
+//! batch scheduler across thread counts. Writes `results/BENCH_PR3.json`.
 //!
 //! Run with `cargo run --release -p s3-bench --bin bench_kernels -- --scale quick`.
 //! Every comparison first asserts the optimised path is output-identical to
@@ -15,7 +15,7 @@ use s3_core::filter::{select_blocks_best_first, select_blocks_best_first_uncache
 use s3_core::kernels::{
     self, available_tiers, dist_sq_with_tier, dist_sq_within_with_tier, KernelTier,
 };
-use s3_core::parallel::{stat_query_batch_with, Schedule};
+use s3_core::parallel::stat_query_batch;
 use s3_core::{IsotropicNormal, Refine, S3Index, StatQueryOpts};
 use s3_hilbert::HilbertCurve;
 use s3_stats::NormDistribution;
@@ -294,7 +294,8 @@ fn batch_setup(scale: Scale) -> BatchSetup {
     }
 }
 
-/// Section 4: static vs work-stealing scheduling of the skewed batch.
+/// Section 4: the skewed batch through the work-stealing scheduler across
+/// thread counts, each asserted identical to the one-thread run first.
 fn bench_scheduler(exp: &mut Experiment, scale: Scale, s: &BatchSetup) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let threads: Vec<usize> = [1usize, 2, 4, 8]
@@ -304,126 +305,30 @@ fn bench_scheduler(exp: &mut Experiment, scale: Scale, s: &BatchSetup) {
     let refs: Vec<&[u8]> = s.queries.iter().map(Vec::as_slice).collect();
     let runs = scale.pick(3, 10);
 
-    let baseline = stat_query_batch_with(&s.index, &refs, &s.model, &s.opts, 1, Schedule::Static);
-    let mut static_ms = Vec::new();
-    let mut steal_ms = Vec::new();
+    let baseline = stat_query_batch(&s.index, &refs, &s.model, &s.opts, 1);
+    let mut batch_ms = Vec::new();
     for &t in &threads {
-        for sched in [Schedule::Static, Schedule::WorkStealing] {
-            let got = stat_query_batch_with(&s.index, &refs, &s.model, &s.opts, t, sched);
-            assert_eq!(got.len(), baseline.len());
-            for (g, w) in got.iter().zip(&baseline) {
-                assert_eq!(g.matches.len(), w.matches.len(), "t={t} {sched:?}");
-            }
-            let d = mean_time(1, runs, || {
-                std::hint::black_box(stat_query_batch_with(
-                    &s.index, &refs, &s.model, &s.opts, t, sched,
-                ));
-            });
-            let ms = d.as_secs_f64() * 1e3;
-            println!("batch    threads={t}  {sched:>12?}  {}", fmt_duration(d));
-            match sched {
-                Schedule::Static => static_ms.push(ms),
-                Schedule::WorkStealing => steal_ms.push(ms),
-            }
+        let got = stat_query_batch(&s.index, &refs, &s.model, &s.opts, t);
+        assert_eq!(got.len(), baseline.len());
+        for (g, w) in got.iter().zip(&baseline) {
+            assert_eq!(g.matches, w.matches, "t={t}");
+            assert_eq!(g.stats, w.stats, "t={t}");
         }
+        let d = mean_time(1, runs, || {
+            std::hint::black_box(stat_query_batch(&s.index, &refs, &s.model, &s.opts, t));
+        });
+        println!("batch    threads={t}  {}", fmt_duration(d));
+        batch_ms.push(d.as_secs_f64() * 1e3);
     }
     let xs: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
-    let peak = static_ms
-        .iter()
-        .zip(&steal_ms)
-        .map(|(a, b)| a / b)
-        .fold(0.0f64, f64::max);
+    let best = batch_ms.iter().copied().fold(f64::INFINITY, f64::min);
     exp.note(format!(
         "scheduler: skewed {}-query batch on {cores}-core host, \
-         work-stealing up to {peak:.2}x over static chunks",
-        s.queries.len()
-    ));
-    exp.push_series(Series::new("batch_static_ms", xs.clone(), static_ms));
-    exp.push_series(Series::new("batch_worksteal_ms", xs, steal_ms));
-}
-
-/// Section 5: the whole PR at once — scalar kernel + uncached filter + static
-/// chunks (the pre-PR configuration) against auto-dispatched kernels + mass
-/// cache + work-stealing.
-fn bench_end_to_end(exp: &mut Experiment, scale: Scale, s: &BatchSetup) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = cores.min(4);
-    let refs: Vec<&[u8]> = s.queries.iter().map(Vec::as_slice).collect();
-    let runs = scale.pick(3, 10);
-
-    let mut base_opts = s.opts;
-    base_opts.mass_cache = false;
-
-    kernels::force_tier(Some(KernelTier::Scalar));
-    let want = stat_query_batch_with(
-        &s.index,
-        &refs,
-        &s.model,
-        &base_opts,
-        threads,
-        Schedule::Static,
-    );
-    let d_base = mean_time(1, runs, || {
-        std::hint::black_box(stat_query_batch_with(
-            &s.index,
-            &refs,
-            &s.model,
-            &base_opts,
-            threads,
-            Schedule::Static,
-        ));
-    });
-    kernels::force_tier(None);
-
-    let got = stat_query_batch_with(
-        &s.index,
-        &refs,
-        &s.model,
-        &s.opts,
-        threads,
-        Schedule::WorkStealing,
-    );
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(
-            g.matches.len(),
-            w.matches.len(),
-            "end-to-end outputs differ"
-        );
-    }
-    let d_opt = mean_time(1, runs, || {
-        std::hint::black_box(stat_query_batch_with(
-            &s.index,
-            &refs,
-            &s.model,
-            &s.opts,
-            threads,
-            Schedule::WorkStealing,
-        ));
-    });
-
-    let (b, o) = (d_base.as_secs_f64() * 1e3, d_opt.as_secs_f64() * 1e3);
-    println!(
-        "end-to-end  baseline {}  optimized {}  ({:.2}x)",
-        fmt_duration(d_base),
-        fmt_duration(d_opt),
-        b / o
-    );
-    exp.note(format!(
-        "end-to-end ({} queries, {threads} threads, Refine::Range): \
-         baseline {b:.2} ms -> optimized {o:.2} ms ({:.2}x)",
+         best {:.2}x over one thread",
         s.queries.len(),
-        b / o
+        batch_ms[0] / best
     ));
-    exp.push_series(Series::new(
-        "end_to_end_baseline_ms",
-        vec![threads as f64],
-        vec![b],
-    ));
-    exp.push_series(Series::new(
-        "end_to_end_optimized_ms",
-        vec![threads as f64],
-        vec![o],
-    ));
+    exp.push_series(Series::new("batch_worksteal_ms", xs, batch_ms));
 }
 
 fn main() {
@@ -452,7 +357,6 @@ fn main() {
 
     let s = batch_setup(scale);
     bench_scheduler(&mut exp, scale, &s);
-    bench_end_to_end(&mut exp, scale, &s);
 
     exp.print();
     let dir = results_dir();

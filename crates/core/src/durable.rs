@@ -36,8 +36,9 @@ use crate::bufferpool::{BufferPool, PooledStorage};
 use crate::distortion::DistortionModel;
 use crate::dynamic::{DynamicIndex, MergeOutcome};
 use crate::error::IndexError;
+use crate::filter::Selection;
 use crate::fingerprint::RecordBatch;
-use crate::index::{S3Index, StatQueryOpts};
+use crate::index::{QueryStats, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::pager::{DataPages, PageMeta, PageStore, DEFAULT_PAGE_SIZE};
 use crate::pseudo_disk::{BatchResult, DiskIndex, WriteOpts};
@@ -416,20 +417,7 @@ impl DurableIndex {
         opts: &StatQueryOpts,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        let mut batch = self
-            .disk
-            .stat_query_batch(queries, model, opts, mem_budget)?;
-        if !self.mem.is_empty() {
-            let base = self.disk.len() as usize;
-            for (i, q) in queries.iter().enumerate() {
-                let r = self.mem.stat_query(q, model, opts);
-                batch.matches[i].extend(r.matches.into_iter().map(|mut m| {
-                    m.index += base;
-                    m
-                }));
-            }
-        }
-        Ok(batch)
+        self.query_batch(queries, Selection::Stat(model, opts), mem_budget)
     }
 
     /// Exact ε-range query batch over the on-disk index plus the overlay.
@@ -440,14 +428,24 @@ impl DurableIndex {
         depth: u32,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        let mut batch = self
-            .disk
-            .range_query_batch(queries, eps, depth, mem_budget)?;
+        self.query_batch(queries, Selection::Range { eps, depth }, mem_budget)
+    }
+
+    /// Plans the batch once, scans the on-disk index, then scans the
+    /// overlay against the same plan. The batch's stats and timing are the
+    /// on-disk scan's.
+    fn query_batch(
+        &self,
+        queries: &[&[u8]],
+        sel: Selection<'_>,
+        mem_budget: u64,
+    ) -> Result<BatchResult, IndexError> {
+        let (mut batch, ranges, _) = self.disk.run_batch(queries, sel, mem_budget, None, false)?;
         if !self.mem.is_empty() {
             let base = self.disk.len() as usize;
-            for (i, q) in queries.iter().enumerate() {
-                let r = self.mem.range_query(q, eps, depth);
-                batch.matches[i].extend(r.matches.into_iter().map(|mut m| {
+            for (qi, q) in queries.iter().enumerate() {
+                let r = self.mem.scan(q, &ranges[qi], sel, QueryStats::default());
+                batch.matches[qi].extend(r.matches.into_iter().map(|mut m| {
                     m.index += base;
                     m
                 }));

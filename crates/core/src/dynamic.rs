@@ -5,21 +5,22 @@
 //! monitor that ingests new material daily, a real deployment needs inserts.
 //! [`DynamicIndex`] adds them the classical LSM way without touching the
 //! static core: new records accumulate in a small *overlay* (kept sorted by
-//! Hilbert key); queries run the block filter once and scan both the main
-//! index and the overlay against the same key ranges; when the overlay
-//! outgrows a configurable fraction of the main index, the two are merged
-//! into a fresh static index.
+//! Hilbert key); queries plan once and scan both the main index and the
+//! overlay against the same key ranges; when the overlay outgrows a
+//! configurable fraction of the main index, the two are merged into a fresh
+//! static index.
 //!
 //! Deletions stay out of scope, as in the paper — archives only grow.
 
 use crate::distortion::DistortionModel;
-use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_range, select_blocks_threshold,
-};
-use crate::fingerprint::{dist_sq, RecordBatch};
-use crate::index::{FilterAlgo, Match, QueryResult, QueryStats, Refine, S3Index, StatQueryOpts};
+use crate::filter::{plan, Plan, Selection};
+use crate::fingerprint::RecordBatch;
+use crate::index::{Match, QueryResult, QueryStats, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
+use crate::resilience::next_query_id;
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
+use s3_obs::QueryScope;
+use std::time::Instant;
 
 /// How a merge — or its crash recovery — ended.
 ///
@@ -157,57 +158,54 @@ impl DynamicIndex {
         MergeOutcome::Completed
     }
 
-    /// Statistical query over main + overlay: one filter pass, two scans.
+    /// Statistical query over main + overlay: one plan, two scans.
     pub fn stat_query(
         &self,
         q: &[u8],
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
-        let curve = self.main.curve();
-        let outcome = match opts.algo {
-            FilterAlgo::BestFirst => {
-                select_blocks_best_first(curve, model, q, opts.depth, opts.alpha, opts.max_blocks)
-            }
-            FilterAlgo::Threshold { iterations } => select_blocks_threshold(
-                curve,
-                model,
-                q,
-                opts.depth,
-                opts.alpha,
-                opts.max_blocks,
-                iterations,
-            ),
-        };
-        // Main scan through the static engine.
-        let mut result = self.main.stat_query(q, model, opts);
-        // Overlay scan against the same ranges.
-        let ranges = merge_block_ranges(curve, &outcome);
-        self.scan_overlay(q, &ranges, opts.refine, Some(model), &mut result);
-        result.stats.mass = outcome.mass;
-        result
+        self.query(q, Selection::Stat(model, opts))
     }
 
     /// Exact ε-range query over main + overlay.
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let curve = self.main.curve();
-        let outcome = select_blocks_range(curve, q, depth, eps, usize::MAX);
-        let mut result = self.main.range_query(q, eps, depth);
-        let ranges = merge_block_ranges(curve, &outcome);
-        self.scan_overlay(q, &ranges, Refine::Range(eps), None, &mut result);
-        result
+        self.query(q, Selection::Range { eps, depth })
     }
 
-    /// Scans overlay records inside `ranges`, appending matches. Overlay
-    /// matches get indices offset by the main length so they stay unique.
-    fn scan_overlay(
+    /// Plans `q` once, scans main and overlay against the same ranges, and
+    /// records the query.
+    fn query(&self, q: &[u8], sel: Selection<'_>) -> QueryResult {
+        let _scope = QueryScope::enter_inherit(next_query_id());
+        let t0 = Instant::now();
+        let Plan { outcome, ranges } = plan(self.main.curve(), q, sel, None);
+        let res = self.scan(q, &ranges, sel, outcome.stats());
+        let metrics = CoreMetrics::get();
+        metrics.record_query(&res.stats, t0.elapsed());
+        if let Selection::Stat(_, opts) = sel {
+            metrics.record_calibration(
+                res.stats.mass,
+                opts.alpha,
+                res.stats.entries_scanned,
+                self.len(),
+            );
+        }
+        res
+    }
+
+    /// Scans the main index and then the overlay for the records inside
+    /// the `ranges` planned for `sel`; `stats` brings the plan's filter
+    /// fields. Overlay matches get indices offset by the main length so they
+    /// stay unique.
+    pub(crate) fn scan(
         &self,
         q: &[u8],
         ranges: &[KeyRange],
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
-        out: &mut QueryResult,
-    ) {
+        sel: Selection<'_>,
+        stats: QueryStats,
+    ) -> QueryResult {
+        let mut pred = sel.refine().predicate(q, sel.model());
+        let mut out = self.main.refine_scan(ranges, &mut pred, None, stats);
         let base = self.main.len();
         for range in ranges {
             let lo = self.overlay_keys.partition_point(|k| *k < range.lo);
@@ -217,26 +215,7 @@ impl DynamicIndex {
             };
             out.stats.entries_scanned += hi.saturating_sub(lo);
             for i in lo..hi {
-                let fp = self.overlay.fingerprint(i);
-                let keep = match refine {
-                    Refine::All => Some(None),
-                    Refine::Range(eps) => {
-                        let d2 = dist_sq(q, fp) as f64;
-                        (d2 <= eps * eps).then_some(Some(d2))
-                    }
-                    Refine::LogLikelihood(bound) => {
-                        let Some(model) = model else {
-                            unreachable!("likelihood refinement needs a model")
-                        };
-                        let delta: Vec<f64> = q
-                            .iter()
-                            .zip(fp)
-                            .map(|(&a, &b)| f64::from(b) - f64::from(a))
-                            .collect();
-                        (model.log_pdf(&delta) >= bound).then(|| Some(dist_sq(q, fp) as f64))
-                    }
-                };
-                if let Some(dist_sq) = keep {
+                if let Some(dist_sq) = pred.test(self.overlay.fingerprint(i)) {
                     out.matches.push(Match {
                         index: base + i,
                         id: self.overlay.id(i),
@@ -246,6 +225,7 @@ impl DynamicIndex {
                 }
             }
         }
+        out
     }
 }
 

@@ -25,13 +25,25 @@
 //! integer coordinates `[lo, hi)` along a dimension is scored with the
 //! interval `[lo - 0.5, hi - 0.5)`, so sibling masses sum exactly to their
 //! parent's and the whole partition sums to the mass of the byte cube.
+//!
+//! The crate's query engines never call these filters directly: they go
+//! through the plan stage at the bottom of this module (`plan` for one
+//! query, `plan_batch` for a batch), which dispatches the algorithm, keeps
+//! the per-query mass cache on, polls the query's context and merges the
+//! selected blocks into key ranges. The `*_uncached` entry points remain
+//! only as the reference the property tests and `bench_kernels` compare
+//! the cached filters against.
 
 use crate::distortion::DistortionModel;
+use crate::error::IndexError;
+use crate::index::{FilterAlgo, Match, QueryStats, Refine, StatQueryOpts};
 use crate::metrics::CoreMetrics;
-use crate::resilience::QueryCtx;
-use s3_hilbert::{Block, HilbertCurve};
+use crate::resilience::{CancelCause, QueryCtx};
+use s3_hilbert::{Block, HilbertCurve, KeyRange};
+use s3_obs::{span, BlockExplain, ExplainPhase, ExplainReport, Span};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::time::{Duration, Instant};
 
 /// A block selected by a filter, with its distortion mass for the query.
 #[derive(Clone, Copy, Debug)]
@@ -239,64 +251,45 @@ pub fn select_blocks_best_first(
     alpha: f64,
     max_blocks: usize,
 ) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    let qf = query_coords(q);
-    let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-    let out = best_first_impl(
-        curve,
-        depth,
-        alpha,
+    let opts = StatQueryOpts {
         max_blocks,
-        model.dims(),
-        None,
-        &mut |b, d| cache.factor(model, &qf, b, d),
-    );
-    cache.publish();
-    observed(out, "best_first")
+        ..StatQueryOpts::new(alpha, depth)
+    };
+    select_cached(curve, model, q, &opts, None)
 }
 
-/// As [`select_blocks_best_first`] (cached or uncached per `mass_cache`),
-/// checking `ctx` every few node expansions. A stopped descent returns the
-/// blocks selected so far with [`FilterOutcome::truncated`] set — a valid
-/// (partial) selection, exact over the mass it did capture.
-#[allow(clippy::too_many_arguments)] // the full cancellable knob set; grouping would obscure the paper's parameters
-pub fn select_blocks_best_first_cancellable(
+/// The statistical filter every query engine runs: `opts.algo` over the
+/// per-query [`MassCache`], polling `ctx` when given. A stopped selection
+/// returns the blocks chosen so far with [`FilterOutcome::truncated`] set —
+/// a valid (partial) selection, exact over the mass it did capture.
+fn select_cached(
     curve: &HilbertCurve,
     model: &dyn DistortionModel,
     q: &[u8],
-    depth: u32,
-    alpha: f64,
-    max_blocks: usize,
-    mass_cache: bool,
-    ctx: &QueryCtx,
+    opts: &StatQueryOpts,
+    ctx: Option<&QueryCtx>,
 ) -> FilterOutcome {
+    let (depth, alpha, max_blocks) = (opts.depth, opts.alpha, opts.max_blocks);
     check_stat_args(curve, model, q, depth, alpha);
     let qf = query_coords(q);
-    if mass_cache {
-        let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-        let out = best_first_impl(
-            curve,
-            depth,
-            alpha,
-            max_blocks,
-            model.dims(),
-            Some(ctx),
-            &mut |b, d| cache.factor(model, &qf, b, d),
-        );
-        cache.publish();
-        observed(out, "best_first")
-    } else {
-        let out = best_first_impl(
-            curve,
-            depth,
-            alpha,
-            max_blocks,
-            model.dims(),
-            Some(ctx),
-            &mut |b, d| dim_factor(model, &qf, b, d),
-        );
-        observed(out, "best_first_uncached")
-    }
+    // One cache per query, shared by every bisection iteration of the
+    // threshold filter: each pruned DFS revisits mostly the same
+    // intervals, so iterations beyond the first integrate almost nothing new.
+    let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
+    let factor = &mut |b: &Block, d| cache.factor(model, &qf, b, d);
+    let (out, name) = match opts.algo {
+        FilterAlgo::BestFirst => (
+            best_first_impl(curve, depth, alpha, max_blocks, ctx, factor),
+            "best_first",
+        ),
+        FilterAlgo::Threshold { iterations } => {
+            assert!(iterations > 0);
+            let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, ctx, factor);
+            (out, "threshold")
+        }
+    };
+    cache.publish();
+    observed(out, name)
 }
 
 /// [`select_blocks_best_first`] without the per-query mass cache — every
@@ -313,15 +306,9 @@ pub fn select_blocks_best_first_uncached(
 ) -> FilterOutcome {
     check_stat_args(curve, model, q, depth, alpha);
     let qf = query_coords(q);
-    let out = best_first_impl(
-        curve,
-        depth,
-        alpha,
-        max_blocks,
-        model.dims(),
-        None,
-        &mut |b, d| dim_factor(model, &qf, b, d),
-    );
+    let out = best_first_impl(curve, depth, alpha, max_blocks, None, &mut |b, d| {
+        dim_factor(model, &qf, b, d)
+    });
     observed(out, "best_first_uncached")
 }
 
@@ -332,12 +319,11 @@ fn best_first_impl(
     depth: u32,
     alpha: f64,
     max_blocks: usize,
-    dims: usize,
     ctx: Option<&QueryCtx>,
     factor: &mut dyn FnMut(&Block, usize) -> f64,
 ) -> FilterOutcome {
     let root = Block::root(curve);
-    let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
+    let root_mass: f64 = (0..curve.dims()).map(|d| factor(&root, d)).product();
     // For queries near the boundary of the byte cube, part of the distortion
     // mass falls outside the grid; the achievable expectation is capped by
     // the root mass. Clamp α so such queries terminate with the best
@@ -505,18 +491,12 @@ pub fn select_blocks_threshold(
     max_blocks: usize,
     iterations: usize,
 ) -> FilterOutcome {
-    check_stat_args(curve, model, q, depth, alpha);
-    assert!(iterations > 0);
-    let qf = query_coords(q);
-    // One cache shared across every bisection iteration: each pruned DFS
-    // revisits mostly the same intervals, so iterations beyond the first
-    // integrate almost nothing new.
-    let mut cache = MassCache::new(curve.dims(), curve.order() as u32);
-    let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, model.dims(), {
-        &mut |b, d| cache.factor(model, &qf, b, d)
-    });
-    cache.publish();
-    observed(out, "threshold")
+    let opts = StatQueryOpts {
+        max_blocks,
+        algo: FilterAlgo::Threshold { iterations },
+        ..StatQueryOpts::new(alpha, depth)
+    };
+    select_cached(curve, model, q, &opts, None)
 }
 
 /// [`select_blocks_threshold`] without the mass cache (see
@@ -533,22 +513,32 @@ pub fn select_blocks_threshold_uncached(
     check_stat_args(curve, model, q, depth, alpha);
     assert!(iterations > 0);
     let qf = query_coords(q);
-    let out = threshold_impl(curve, depth, alpha, max_blocks, iterations, model.dims(), {
-        &mut |b, d| dim_factor(model, &qf, b, d)
-    });
+    let out = threshold_impl(
+        curve,
+        depth,
+        alpha,
+        max_blocks,
+        iterations,
+        None,
+        &mut |b, d| dim_factor(model, &qf, b, d),
+    );
     observed(out, "threshold_uncached")
 }
 
-/// Bisection on `t` parameterized over the per-axis factor source.
+/// Bisection on `t` parameterized over the per-axis factor source. With a
+/// `ctx`, the stop is polled between bisection steps: a stopped search
+/// keeps the best feasible `B(t)` found so far (none: an empty selection),
+/// flagged truncated.
 fn threshold_impl(
     curve: &HilbertCurve,
     depth: u32,
     alpha: f64,
     max_blocks: usize,
     iterations: usize,
-    dims: usize,
+    ctx: Option<&QueryCtx>,
     factor: &mut dyn FnMut(&Block, usize) -> f64,
 ) -> FilterOutcome {
+    let dims = curve.dims();
     let root = Block::root(curve);
     let root_mass: f64 = (0..dims).map(|d| factor(&root, d)).product();
     // Same boundary clamp as the best-first filter (see there).
@@ -560,8 +550,13 @@ fn threshold_impl(
     let mut nodes_total = 0usize;
     let mut best: Option<ThresholdEval> = None;
     let mut tmax = 0.0f64;
+    let mut stopped = false;
 
     for _ in 0..iterations {
+        if ctx.is_some_and(QueryCtx::should_stop) {
+            stopped = true;
+            break;
+        }
         let t = 0.5 * (lo + hi);
         let eval = collect_above(curve, dims, depth, t, max_blocks, factor);
         nodes_total += eval.nodes;
@@ -579,16 +574,25 @@ fn threshold_impl(
         }
     }
 
-    let best = best.unwrap_or_else(|| {
-        // No feasible t found within the budget (α too high for this depth /
-        // block budget): fall back to t = lo, best effort.
-        let eval = collect_above(curve, dims, depth, lo, max_blocks, factor);
-        nodes_total += eval.nodes;
-        tmax = lo;
-        eval
-    });
+    let best = match best {
+        Some(eval) => eval,
+        None if stopped => ThresholdEval {
+            blocks: Vec::new(),
+            psup: 0.0,
+            nodes: 0,
+            overflowed: false,
+        },
+        None => {
+            // No feasible t found within the budget (α too high for this
+            // depth / block budget): fall back to t = lo, best effort.
+            let eval = collect_above(curve, dims, depth, lo, max_blocks, factor);
+            nodes_total += eval.nodes;
+            tmax = lo;
+            eval
+        }
+    };
 
-    let truncated = best.overflowed || best.psup < alpha;
+    let truncated = stopped || best.overflowed || best.psup < alpha;
     FilterOutcome {
         mass: best.psup,
         blocks: best.blocks,
@@ -727,17 +731,14 @@ pub fn select_blocks_bbox(
 
 /// Merges a filter outcome's blocks into sorted, non-overlapping contiguous
 /// key ranges — the scan list of the refinement step.
-pub fn merge_block_ranges(
-    curve: &HilbertCurve,
-    outcome: &FilterOutcome,
-) -> Vec<s3_hilbert::KeyRange> {
-    let mut ranges: Vec<s3_hilbert::KeyRange> = outcome
+pub fn merge_block_ranges(curve: &HilbertCurve, outcome: &FilterOutcome) -> Vec<KeyRange> {
+    let mut ranges: Vec<KeyRange> = outcome
         .blocks
         .iter()
         .map(|sb| sb.block.key_range(curve))
         .collect();
     ranges.sort_unstable_by_key(|r| r.lo);
-    let mut merged: Vec<s3_hilbert::KeyRange> = Vec::with_capacity(ranges.len());
+    let mut merged: Vec<KeyRange> = Vec::with_capacity(ranges.len());
     for r in ranges {
         match merged.last_mut() {
             Some(last) if last.abuts(&r) => *last = last.merged(&r),
@@ -745,6 +746,320 @@ pub fn merge_block_ranges(
         }
     }
     merged
+}
+
+/// What the plan stage selects blocks for, and how refinement then keeps
+/// records.
+#[derive(Clone, Copy)]
+pub(crate) enum Selection<'a> {
+    /// A statistical query of expectation α (§II, eq. 1): `opts.algo`
+    /// over the model's distortion mass, refined by `opts.refine`.
+    Stat(&'a dyn DistortionModel, &'a StatQueryOpts),
+    /// An exact ε-range query: every depth-`depth` block meeting the ball.
+    Range {
+        /// Query radius.
+        eps: f64,
+        /// Partition depth `p`.
+        depth: u32,
+    },
+    /// An ε-range query through the bounding-box filter (Fig. 6 baseline).
+    BBox {
+        /// Query radius.
+        eps: f64,
+        /// Partition depth `p`.
+        depth: u32,
+    },
+}
+
+impl<'a> Selection<'a> {
+    /// Refinement predicate of the scan that follows the plan.
+    pub(crate) fn refine(&self) -> Refine {
+        match *self {
+            Selection::Stat(_, opts) => opts.refine,
+            Selection::Range { eps, .. } | Selection::BBox { eps, .. } => Refine::Range(eps),
+        }
+    }
+
+    /// The distortion model (statistical queries only).
+    pub(crate) fn model(&self) -> Option<&'a dyn DistortionModel> {
+        match *self {
+            Selection::Stat(model, _) => Some(model),
+            _ => None,
+        }
+    }
+
+    /// Whether the scan may consult a section sketch.
+    pub(crate) fn sketch(&self) -> bool {
+        match *self {
+            Selection::Stat(_, opts) => opts.sketch,
+            _ => true,
+        }
+    }
+}
+
+/// One query's plan: the blocks the filter chose and their merged key
+/// ranges. The filter reads only the query, α, p and the model — never the
+/// database — so one plan feeds every storage (§IV-A).
+pub(crate) struct Plan {
+    /// The filter's block selection.
+    pub outcome: FilterOutcome,
+    /// `outcome`'s blocks merged into sorted, disjoint key ranges — the
+    /// scan list of every engine.
+    pub ranges: Vec<KeyRange>,
+}
+
+/// Plans one query under a `query.filter` span. Statistical selections
+/// dispatch `opts.algo` over the [`MassCache`] and poll `ctx` when given.
+///
+/// # Panics
+/// If the query's dimension, the depth or α is out of range.
+pub(crate) fn plan(
+    curve: &HilbertCurve,
+    q: &[u8],
+    sel: Selection<'_>,
+    ctx: Option<&QueryCtx>,
+) -> Plan {
+    plan_in(span!("query.filter"), curve, q, sel, ctx)
+}
+
+fn plan_in(
+    mut sp: Span,
+    curve: &HilbertCurve,
+    q: &[u8],
+    sel: Selection<'_>,
+    ctx: Option<&QueryCtx>,
+) -> Plan {
+    let outcome = match sel {
+        Selection::Stat(model, opts) => select_cached(curve, model, q, opts, ctx),
+        Selection::Range { eps, depth } => select_blocks_range(curve, q, depth, eps, usize::MAX),
+        Selection::BBox { eps, depth } => select_blocks_bbox(curve, q, depth, eps, usize::MAX),
+    };
+    sp.record("blocks", outcome.blocks.len() as f64);
+    sp.record("nodes", outcome.nodes_expanded as f64);
+    sp.record("mass", outcome.mass);
+    let ranges = merge_block_ranges(curve, &outcome);
+    Plan { outcome, ranges }
+}
+
+impl FilterOutcome {
+    /// The filter fields of a query's [`QueryStats`]; the scan fills the
+    /// rest.
+    pub(crate) fn stats(&self) -> QueryStats {
+        QueryStats {
+            nodes_expanded: self.nodes_expanded,
+            blocks_selected: self.blocks.len(),
+            mass: self.mass,
+            tmax: self.tmax,
+            truncated: self.truncated,
+            ..QueryStats::default()
+        }
+    }
+}
+
+/// The plans of a batch, in query order.
+pub(crate) struct BatchPlan<'a> {
+    /// Merged key ranges per query (empty for a query a fired token
+    /// skipped).
+    pub ranges: Vec<Vec<KeyRange>>,
+    /// Per-query stats holding the filter fields; `cancelled` marks a
+    /// query whose filter was skipped or may have been cut short.
+    pub stats: Vec<QueryStats>,
+    /// Total filtering time ([`crate::pseudo_disk::BatchTiming::filter`]).
+    pub filter: Duration,
+    /// What was planned, and so how the scan refines.
+    pub sel: Selection<'a>,
+    /// EXPLAIN only (else empty): each query's filter outcome (`None` when
+    /// skipped) and filter wall time in ns.
+    pub outcomes: Vec<Option<FilterOutcome>>,
+    /// See `outcomes`.
+    pub filter_ns: Vec<u64>,
+}
+
+impl<'a> BatchPlan<'a> {
+    /// This plan with every query skipped: empty ranges, flagged
+    /// `cancelled` — what a scan that starts past a stop runs.
+    pub(crate) fn stopped(&self) -> BatchPlan<'a> {
+        BatchPlan {
+            ranges: vec![Vec::new(); self.ranges.len()],
+            stats: vec![
+                QueryStats {
+                    cancelled: true,
+                    ..QueryStats::default()
+                };
+                self.stats.len()
+            ],
+            filter: Duration::ZERO,
+            sel: self.sel,
+            outcomes: Vec::new(),
+            filter_ns: Vec::new(),
+        }
+    }
+}
+
+/// Plans every query of a batch. Checks each query's dimension; once `ctx`
+/// fires, the remaining queries are skipped outright (empty, flagged
+/// `cancelled`). With `explain`, keeps each outcome and its filter time for
+/// the EXPLAIN reports; otherwise block lists drop right after merging.
+pub(crate) fn plan_batch<'a>(
+    curve: &HilbertCurve,
+    queries: &[&[u8]],
+    sel: Selection<'a>,
+    ctx: Option<&QueryCtx>,
+    explain: bool,
+) -> Result<BatchPlan<'a>, IndexError> {
+    let should_stop = || ctx.is_some_and(QueryCtx::should_stop);
+    let t0 = Instant::now();
+    let mut plan = BatchPlan {
+        ranges: Vec::with_capacity(queries.len()),
+        stats: Vec::with_capacity(queries.len()),
+        filter: Duration::ZERO,
+        sel,
+        outcomes: Vec::new(),
+        filter_ns: Vec::new(),
+    };
+    for (qi, q) in queries.iter().enumerate() {
+        if q.len() != curve.dims() {
+            return Err(IndexError::QueryDims {
+                expected: curve.dims(),
+                got: q.len(),
+            });
+        }
+        if should_stop() {
+            plan.ranges.push(Vec::new());
+            plan.stats.push(QueryStats {
+                cancelled: true,
+                ..QueryStats::default()
+            });
+            if explain {
+                plan.outcomes.push(None);
+                plan.filter_ns.push(0);
+            }
+            continue;
+        }
+        let tq = Instant::now();
+        let Plan { outcome, ranges } =
+            plan_in(span!("query.filter", "qi" => qi as f64), curve, q, sel, ctx);
+        let mut st = outcome.stats();
+        // Conservative: if the token fired while this filter ran, its
+        // selection may be partial — flag it even if it just finished.
+        st.cancelled = should_stop();
+        plan.ranges.push(ranges);
+        plan.stats.push(st);
+        if explain {
+            plan.filter_ns.push(tq.elapsed().as_nanos() as u64);
+            plan.outcomes.push(Some(outcome));
+        }
+    }
+    plan.filter = t0.elapsed();
+    Ok(plan)
+}
+
+/// The plan side of a statistical query's EXPLAIN report: the filter's
+/// algorithm, threshold, per-block predicted masses, its `filter` phase and
+/// the plan annotations. `outcome` is `None` for a query cancelled before
+/// filtering. Every engine starts its report here and adds what its scan
+/// saw.
+pub(crate) fn plan_report(
+    outcome: Option<&FilterOutcome>,
+    opts: &StatQueryOpts,
+    query_id: u64,
+    filter_ns: u64,
+) -> ExplainReport {
+    let mut rep = ExplainReport {
+        query_id,
+        alpha: opts.alpha,
+        depth: opts.depth,
+        phases: vec![ExplainPhase {
+            name: "filter",
+            ns: filter_ns,
+        }],
+        ..ExplainReport::default()
+    };
+    let Some(outcome) = outcome else {
+        rep.annotations
+            .push("cancelled before filtering — empty plan".into());
+        return rep;
+    };
+    rep.algo = outcome.algo;
+    rep.tmax = outcome.tmax.unwrap_or(0.0);
+    rep.iterations = outcome.iterations;
+    rep.predicted_mass = outcome.mass;
+    rep.blocks = outcome
+        .blocks
+        .iter()
+        .map(|sb| BlockExplain {
+            depth: sb.block.depth(),
+            predicted_mass: sb.score,
+            ..BlockExplain::default()
+        })
+        .collect();
+    if outcome.truncated {
+        rep.annotations
+            .push("block budget truncated selection before reaching α".into());
+    }
+    if outcome.mass.is_finite() && outcome.mass < opts.alpha - 1e-9 {
+        rep.annotations.push(format!(
+            "achieved mass {:.4} below requested α {:.4}",
+            outcome.mass, opts.alpha
+        ));
+    }
+    rep
+}
+
+/// Fills in the scan side of a report's totals: records scanned, matches,
+/// sketch skips, and the observed selectivity over `db_len` records.
+pub(crate) fn scan_report(rep: &mut ExplainReport, st: &QueryStats, matches: usize, db_len: u64) {
+    rep.entries_scanned = st.entries_scanned as u64;
+    rep.matches = matches as u64;
+    rep.sketch_skipped = st.sketch_skipped as u64;
+    rep.observed_selectivity = if db_len > 0 {
+        st.entries_scanned as f64 / db_len as f64
+    } else {
+        0.0
+    };
+}
+
+/// Per-block EXPLAIN accounting over one sorted run of records whose first
+/// record has global index `base`: `locate` maps a block's key range to its
+/// record interval within the run. Each block of `outcome` gains the
+/// records scanned in it, and each of `matches` is attributed to the unique
+/// block whose interval holds it (depth-p blocks are disjoint and tile the
+/// merged scan ranges).
+pub(crate) fn account_blocks(
+    curve: &HilbertCurve,
+    outcome: &FilterOutcome,
+    base: usize,
+    locate: impl Fn(&KeyRange) -> (usize, usize),
+    matches: &[Match],
+    blocks: &mut [BlockExplain],
+) {
+    let mut intervals: Vec<(usize, usize, usize)> = Vec::with_capacity(outcome.blocks.len());
+    for (bi, sb) in outcome.blocks.iter().enumerate() {
+        let (lo, hi) = locate(&sb.block.key_range(curve));
+        if hi > lo {
+            blocks[bi].scanned += (hi - lo) as u64;
+            intervals.push((base + lo, base + hi, bi));
+        }
+    }
+    intervals.sort_unstable();
+    for m in matches {
+        let p = intervals.partition_point(|&(start, _, _)| start <= m.index);
+        if p > 0 {
+            let (start, end, bi) = intervals[p - 1];
+            if m.index >= start && m.index < end {
+                blocks[bi].matched += 1;
+            }
+        }
+    }
+}
+
+/// EXPLAIN annotation of a query a deadline or cancellation stopped.
+pub(crate) fn stop_annotation(ctx: Option<&QueryCtx>) -> String {
+    match ctx.and_then(QueryCtx::stop_cause) {
+        Some(CancelCause::DeadlineExceeded) => "deadline exceeded — partial scan".into(),
+        Some(cause) => format!("cancelled ({cause:?}) — partial scan"),
+        None => "cancelled — partial scan".into(),
+    }
 }
 
 #[cfg(test)]

@@ -13,16 +13,14 @@
 
 use crate::distortion::DistortionModel;
 use crate::filter::{
-    merge_block_ranges, select_blocks_bbox, select_blocks_best_first,
-    select_blocks_best_first_uncached, select_blocks_range, select_blocks_threshold,
-    select_blocks_threshold_uncached, FilterOutcome,
+    account_blocks, plan, plan_report, scan_report, stop_annotation, Plan, Selection,
 };
 use crate::fingerprint::{dist_sq, RecordBatch};
 use crate::kernels;
 use crate::metrics::CoreMetrics;
 use crate::resilience::{next_query_id, QueryCtx, REFINE_CHUNK};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
-use s3_obs::{span, BlockExplain, ExplainPhase, ExplainReport, QueryScope};
+use s3_obs::{span, ExplainPhase, ExplainReport, QueryScope};
 use std::time::Instant;
 
 /// Which algorithm computes the statistical block selection.
@@ -50,6 +48,68 @@ pub enum Refine {
     LogLikelihood(f64),
 }
 
+impl Refine {
+    /// This refinement's predicate for query `q` — the one predicate every
+    /// engine's scan applies. Likelihood refinement needs the `model`.
+    pub(crate) fn predicate<'a>(
+        self,
+        q: &'a [u8],
+        model: Option<&'a dyn DistortionModel>,
+    ) -> Predicate<'a> {
+        Predicate {
+            q,
+            refine: self,
+            model,
+            // Range refinement compares the integer d² against ⌊ε²⌋ —
+            // exactly equivalent to `d² as f64 <= ε²` (see
+            // `kernels::bound_from_eps_sq`) but lets the kernel abandon a
+            // record mid-vector.
+            range_bound: match self {
+                Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
+                _ => None,
+            },
+            delta: match self {
+                Refine::LogLikelihood(_) => vec![0.0; q.len()],
+                _ => Vec::new(),
+            },
+        }
+    }
+}
+
+/// A [`Refine`] predicate bound to one query (see [`Refine::predicate`]).
+pub(crate) struct Predicate<'a> {
+    q: &'a [u8],
+    refine: Refine,
+    model: Option<&'a dyn DistortionModel>,
+    range_bound: Option<u64>,
+    /// Distortion vector of likelihood refinement, reused across records.
+    delta: Vec<f64>,
+}
+
+impl Predicate<'_> {
+    /// `None` rejects the record with fingerprint `fp`; `Some(d²)` keeps it,
+    /// with its squared distance when the predicate computed one.
+    #[inline]
+    pub(crate) fn test(&mut self, fp: &[u8]) -> Option<Option<f64>> {
+        match self.refine {
+            Refine::All => Some(None),
+            Refine::Range(_) => self
+                .range_bound
+                .and_then(|bound| kernels::dist_sq_within(self.q, fp, bound))
+                .map(|d2| Some(d2 as f64)),
+            Refine::LogLikelihood(bound) => {
+                let Some(model) = self.model else {
+                    unreachable!("likelihood refinement needs a model")
+                };
+                for ((d, &a), &b) in self.delta.iter_mut().zip(self.q).zip(fp) {
+                    *d = f64::from(b) - f64::from(a);
+                }
+                (model.log_pdf(&self.delta) >= bound).then(|| Some(dist_sq(self.q, fp) as f64))
+            }
+        }
+    }
+}
+
 /// Options of a statistical query.
 #[derive(Clone, Copy, Debug)]
 pub struct StatQueryOpts {
@@ -64,10 +124,6 @@ pub struct StatQueryOpts {
     pub algo: FilterAlgo,
     /// Hard budget on selected blocks.
     pub max_blocks: usize,
-    /// Memoize per-axis component masses across the filter descent (on by
-    /// default; bit-identical output either way — the switch exists for
-    /// benchmarking the cache itself).
-    pub mass_cache: bool,
     /// Consult the section sketch (when the index carries one) to skip
     /// section loads that provably hold no candidate. On by default;
     /// bit-identical matches either way — skips are always true negatives
@@ -86,7 +142,6 @@ impl StatQueryOpts {
             refine: Refine::All,
             algo: FilterAlgo::BestFirst,
             max_blocks: 1 << 16,
-            mass_cache: true,
             sketch: true,
         }
     }
@@ -373,32 +428,24 @@ impl S3Index {
         lo + self.keys[lo..hi].partition_point(|k| k < key)
     }
 
-    /// Shared refinement scan over merged ranges. With a `ctx`, the scan
-    /// checks for cancellation every [`REFINE_CHUNK`] records and stops
-    /// early, flagging the result `cancelled`/`degraded`.
-    fn refine_scan(
+    /// Refinement scan of a plan's `ranges`, keeping the records `pred`
+    /// accepts. `stats` brings the plan's filter fields and comes back with
+    /// the scan's. With a `ctx`, the scan checks for cancellation every
+    /// [`REFINE_CHUNK`] records and stops early, flagging the result
+    /// `cancelled`/`degraded`.
+    pub(crate) fn refine_scan(
         &self,
-        q: &[u8],
-        outcome: &FilterOutcome,
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
+        ranges: &[KeyRange],
+        pred: &mut Predicate<'_>,
         ctx: Option<&QueryCtx>,
+        stats: QueryStats,
     ) -> QueryResult {
         let mut sp = span!("query.refine");
-        let merged = merge_block_ranges(&self.curve, outcome);
         let mut matches = Vec::new();
         let mut entries = 0usize;
         let mut cancelled = false;
         let mut since_check = 0usize;
-        let mut delta = vec![0.0f64; q.len()];
-        // Range refinement compares the integer d² against ⌊ε²⌋ — exactly
-        // equivalent to `d² as f64 <= ε²` (see `kernels::bound_from_eps_sq`)
-        // but lets the kernel abandon a record mid-vector.
-        let range_bound = match refine {
-            Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-            _ => None,
-        };
-        'ranges: for range in &merged {
+        'ranges: for range in ranges {
             let (start, end) = self.locate(range);
             for i in start..end {
                 if let Some(ctx) = ctx {
@@ -412,107 +459,28 @@ impl S3Index {
                     }
                 }
                 entries += 1;
-                let fp = self.records.fingerprint(i);
-                let keep = match refine {
-                    Refine::All => {
-                        matches.push(Match {
-                            index: i,
-                            id: self.records.id(i),
-                            tc: self.records.tc(i),
-                            dist_sq: None,
-                        });
-                        continue;
-                    }
-                    Refine::Range(_) => range_bound
-                        .and_then(|bound| kernels::dist_sq_within(q, fp, bound))
-                        .map(|d2| d2 as f64),
-                    Refine::LogLikelihood(bound) => {
-                        let Some(model) = model else {
-                            unreachable!("LogLikelihood refinement needs a model")
-                        };
-                        for (j, (&a, &b)) in q.iter().zip(fp).enumerate() {
-                            delta[j] = f64::from(b) - f64::from(a);
-                        }
-                        if model.log_pdf(&delta) >= bound {
-                            Some(dist_sq(q, fp) as f64)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(d2) = keep {
+                if let Some(dist_sq) = pred.test(self.records.fingerprint(i)) {
                     matches.push(Match {
                         index: i,
                         id: self.records.id(i),
                         tc: self.records.tc(i),
-                        dist_sq: Some(d2),
+                        dist_sq,
                     });
                 }
             }
         }
-        sp.record("ranges", merged.len() as f64);
+        sp.record("ranges", ranges.len() as f64);
         sp.record("entries", entries as f64);
         QueryResult {
             matches,
             stats: QueryStats {
-                nodes_expanded: outcome.nodes_expanded,
-                blocks_selected: outcome.blocks.len(),
-                ranges_scanned: merged.len(),
+                ranges_scanned: ranges.len(),
                 entries_scanned: entries,
-                mass: outcome.mass,
-                tmax: outcome.tmax,
-                truncated: outcome.truncated,
                 cancelled,
                 degraded: cancelled,
-                ..QueryStats::default()
+                ..stats
             },
         }
-    }
-
-    /// The statistical block-selection dispatch shared by every stat entry
-    /// point (spanned; with a `ctx` the best-first descent is interruptible,
-    /// the threshold baseline runs to completion before the check).
-    fn run_stat_filter(
-        &self,
-        q: &[u8],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
-        ctx: Option<&QueryCtx>,
-    ) -> FilterOutcome {
-        let mut sp = span!("query.filter");
-        let (curve, depth, alpha, max) = (&self.curve, opts.depth, opts.alpha, opts.max_blocks);
-        let outcome = match (opts.algo, ctx) {
-            (FilterAlgo::BestFirst, Some(ctx)) => {
-                crate::filter::select_blocks_best_first_cancellable(
-                    curve,
-                    model,
-                    q,
-                    depth,
-                    alpha,
-                    max,
-                    opts.mass_cache,
-                    ctx,
-                )
-            }
-            (FilterAlgo::BestFirst, None) => {
-                if opts.mass_cache {
-                    select_blocks_best_first(curve, model, q, depth, alpha, max)
-                } else {
-                    select_blocks_best_first_uncached(curve, model, q, depth, alpha, max)
-                }
-            }
-            (FilterAlgo::Threshold { iterations }, _) => {
-                if opts.mass_cache {
-                    select_blocks_threshold(curve, model, q, depth, alpha, max, iterations)
-                } else {
-                    select_blocks_threshold_uncached(curve, model, q, depth, alpha, max, iterations)
-                }
-            }
-        };
-        sp.record("blocks", outcome.blocks.len() as f64);
-        sp.record("nodes", outcome.nodes_expanded as f64);
-        sp.record("mass", outcome.mass);
-        outcome
     }
 
     /// Statistical query of expectation α (§II, eq. 1).
@@ -522,28 +490,14 @@ impl S3Index {
         model: &dyn DistortionModel,
         opts: &StatQueryOpts,
     ) -> QueryResult {
-        let _scope = QueryScope::enter_inherit(next_query_id());
-        let t0 = Instant::now();
-        let outcome = self.run_stat_filter(q, model, opts, None);
-        let res = self.refine_scan(q, &outcome, opts.refine, Some(model), None);
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            opts.alpha,
-            res.stats.entries_scanned,
-            self.len(),
-        );
-        res
+        self.stat_query_body(q, model, opts, None, false).0
     }
 
     /// As [`S3Index::stat_query`], cooperatively checking `ctx` at
-    /// filter-node and refine-chunk granularity. A stopped query returns the
-    /// matches found so far, flagged `cancelled`/`degraded`; a query that
-    /// never observed a stop is complete and unflagged.
-    ///
-    /// Only the best-first filter is interruptible; the threshold filter
-    /// (a benchmarking baseline) runs to completion before the check.
+    /// filter-node (best-first), bisection-step (threshold) and
+    /// refine-chunk granularity. A stopped query returns the matches found
+    /// so far, flagged `cancelled`/`degraded`; a query that never observed
+    /// a stop is complete and unflagged.
     pub fn stat_query_ctx(
         &self,
         q: &[u8],
@@ -551,38 +505,7 @@ impl S3Index {
         opts: &StatQueryOpts,
         ctx: &QueryCtx,
     ) -> QueryResult {
-        let _scope = QueryScope::enter_inherit(ctx.id());
-        let t0 = Instant::now();
-        if ctx.should_stop() {
-            let res = QueryResult {
-                matches: Vec::new(),
-                stats: QueryStats {
-                    cancelled: true,
-                    degraded: true,
-                    ..QueryStats::default()
-                },
-            };
-            CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-            return res;
-        }
-        let outcome = self.run_stat_filter(q, model, opts, Some(ctx));
-        // A stop observed here means the filter may have been cut short:
-        // flag conservatively even if refinement completes.
-        let filter_stopped = ctx.should_stop();
-        let mut res = self.refine_scan(q, &outcome, opts.refine, Some(model), Some(ctx));
-        if filter_stopped {
-            res.stats.cancelled = true;
-            res.stats.degraded = true;
-        }
-        let metrics = CoreMetrics::get();
-        metrics.record_query(&res.stats, t0.elapsed());
-        metrics.record_calibration(
-            res.stats.mass,
-            opts.alpha,
-            res.stats.entries_scanned,
-            self.len(),
-        );
-        res
+        self.stat_query_body(q, model, opts, Some(ctx), false).0
     }
 
     /// As [`S3Index::stat_query`]/[`S3Index::stat_query_ctx`] with per-query
@@ -598,20 +521,54 @@ impl S3Index {
         opts: &StatQueryOpts,
         ctx: Option<&QueryCtx>,
     ) -> (QueryResult, ExplainReport) {
-        let query_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
+        let (res, rep) = self.stat_query_body(q, model, opts, ctx, true);
+        (res, rep.unwrap_or_default())
+    }
+
+    /// The one body of the statistical entry points: plan, scan, record,
+    /// and (with `explain`) report.
+    fn stat_query_body(
+        &self,
+        q: &[u8],
+        model: &dyn DistortionModel,
+        opts: &StatQueryOpts,
+        ctx: Option<&QueryCtx>,
+        explain: bool,
+    ) -> (QueryResult, Option<ExplainReport>) {
+        let query_id = ctx.map_or_else(next_query_id, QueryCtx::id);
         let _scope = QueryScope::enter_inherit(query_id);
         let t0 = Instant::now();
-        let outcome = self.run_stat_filter(q, model, opts, ctx);
+        let metrics = CoreMetrics::get();
+        if ctx.is_some_and(QueryCtx::should_stop) {
+            let res = QueryResult {
+                matches: Vec::new(),
+                stats: QueryStats {
+                    cancelled: true,
+                    degraded: true,
+                    ..QueryStats::default()
+                },
+            };
+            metrics.record_query(&res.stats, t0.elapsed());
+            let rep = explain.then(|| {
+                let mut rep = plan_report(None, opts, query_id, 0);
+                rep.annotations.push(stop_annotation(ctx));
+                rep
+            });
+            return (res, rep);
+        }
+        let plan = plan(&self.curve, q, Selection::Stat(model, opts), ctx);
         let filter_ns = t0.elapsed().as_nanos() as u64;
-        let filter_stopped = ctx.is_some_and(|c| c.should_stop());
+        // A stop observed here means the filter may have been cut short:
+        // flag conservatively even if refinement completes.
+        let filter_stopped = ctx.is_some_and(QueryCtx::should_stop);
         let t1 = Instant::now();
-        let mut res = self.refine_scan(q, &outcome, opts.refine, Some(model), ctx);
+        let mut pred = opts.refine.predicate(q, Some(model));
+        let mut res = self.refine_scan(&plan.ranges, &mut pred, ctx, plan.outcome.stats());
         let refine_ns = t1.elapsed().as_nanos() as u64;
         if filter_stopped {
             res.stats.cancelled = true;
             res.stats.degraded = true;
         }
-        let metrics = CoreMetrics::get();
         metrics.record_query(&res.stats, t0.elapsed());
         metrics.record_calibration(
             res.stats.mass,
@@ -619,94 +576,43 @@ impl S3Index {
             res.stats.entries_scanned,
             self.len(),
         );
-
-        // Per-block accounting: each block's key range located against the
-        // sorted record array gives the records scanned for it (depth-p
-        // blocks are disjoint and tile the merged scan ranges); matches are
-        // attributed to the unique block whose record interval holds them.
-        let mut blocks: Vec<BlockExplain> = Vec::with_capacity(outcome.blocks.len());
-        let mut intervals: Vec<(usize, usize, usize)> = Vec::with_capacity(outcome.blocks.len());
-        for (bi, sb) in outcome.blocks.iter().enumerate() {
-            let (lo, hi) = self.locate(&sb.block.key_range(&self.curve));
-            blocks.push(BlockExplain {
-                depth: sb.block.depth(),
-                predicted_mass: sb.score,
-                scanned: (hi - lo) as u64,
-                matched: 0,
+        let rep = explain.then(|| {
+            let mut rep = plan_report(Some(&plan.outcome), opts, query_id, filter_ns);
+            account_blocks(
+                &self.curve,
+                &plan.outcome,
+                0,
+                |r| self.locate(r),
+                &res.matches,
+                &mut rep.blocks,
+            );
+            scan_report(&mut rep, &res.stats, res.matches.len(), self.len() as u64);
+            rep.phases.push(ExplainPhase {
+                name: "refine",
+                ns: refine_ns,
             });
-            if hi > lo {
-                intervals.push((lo, hi, bi));
+            if res.stats.cancelled {
+                rep.annotations.push(stop_annotation(ctx));
             }
-        }
-        intervals.sort_unstable();
-        for m in &res.matches {
-            let p = intervals.partition_point(|&(start, _, _)| start <= m.index);
-            if p > 0 {
-                let (start, end, bi) = intervals[p - 1];
-                if m.index >= start && m.index < end {
-                    blocks[bi].matched += 1;
-                }
-            }
-        }
-
-        let mut rep = ExplainReport {
-            query_id,
-            alpha: opts.alpha,
-            depth: opts.depth,
-            algo: outcome.algo,
-            tmax: outcome.tmax.unwrap_or(0.0),
-            iterations: outcome.iterations,
-            blocks,
-            predicted_mass: outcome.mass,
-            observed_selectivity: if self.is_empty() {
-                0.0
-            } else {
-                res.stats.entries_scanned as f64 / self.len() as f64
-            },
-            entries_scanned: res.stats.entries_scanned as u64,
-            matches: res.matches.len() as u64,
-            sketch_skipped: res.stats.sketch_skipped as u64,
-            shards: Vec::new(),
-            phases: vec![
-                ExplainPhase {
-                    name: "filter",
-                    ns: filter_ns,
-                },
-                ExplainPhase {
-                    name: "refine",
-                    ns: refine_ns,
-                },
-            ],
-            annotations: Vec::new(),
-        };
-        if outcome.truncated {
-            rep.annotations
-                .push("block budget truncated selection before reaching α".into());
-        }
-        if outcome.mass.is_finite() && outcome.mass < opts.alpha - 1e-9 {
-            rep.annotations.push(format!(
-                "achieved mass {:.4} below requested α {:.4}",
-                outcome.mass, opts.alpha
-            ));
-        }
-        if res.stats.cancelled {
-            rep.annotations
-                .push("stopped by deadline/cancellation — partial scan".into());
-        }
+            rep
+        });
         (res, rep)
+    }
+
+    /// A geometric ε-range query: one plan, one distance-refined scan.
+    fn range_body(&self, q: &[u8], sel: Selection<'_>) -> QueryResult {
+        let t0 = Instant::now();
+        let Plan { outcome, ranges } = plan(&self.curve, q, sel, None);
+        let mut pred = sel.refine().predicate(q, None);
+        let res = self.refine_scan(&ranges, &mut pred, None, outcome.stats());
+        CoreMetrics::get().record_query(&res.stats, t0.elapsed());
+        res
     }
 
     /// Exact ε-range query through the index: geometric block filter plus
     /// distance refinement. Recall is exact (the filter is complete).
     pub fn range_query(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let t0 = Instant::now();
-        let outcome = {
-            let _sp = span!("query.filter");
-            select_blocks_range(&self.curve, q, depth, eps, usize::MAX)
-        };
-        let res = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
-        CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-        res
+        self.range_body(q, Selection::Range { eps, depth })
     }
 
     /// ε-range query through the classical bounding-box filter (the only
@@ -715,14 +621,7 @@ impl S3Index {
     /// high dimension — the baseline the paper's Fig. 6 speed-ups compare
     /// against.
     pub fn range_query_bbox(&self, q: &[u8], eps: f64, depth: u32) -> QueryResult {
-        let t0 = Instant::now();
-        let outcome = {
-            let _sp = span!("query.filter");
-            select_blocks_bbox(&self.curve, q, depth, eps, usize::MAX)
-        };
-        let res = self.refine_scan(q, &outcome, Refine::Range(eps), None, None);
-        CoreMetrics::get().record_query(&res.stats, t0.elapsed());
-        res
+        self.range_body(q, Selection::BBox { eps, depth })
     }
 
     /// Sequential-scan ε-range query — the reference baseline of Fig. 7.

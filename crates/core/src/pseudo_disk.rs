@@ -56,18 +56,16 @@ use crate::crc::{crc32, Crc32};
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
 use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_best_first_cancellable,
-    select_blocks_best_first_uncached, select_blocks_range, FilterOutcome,
+    account_blocks, plan_batch, plan_report, scan_report, stop_annotation, BatchPlan, Selection,
 };
-use crate::fingerprint::{dist_sq, RecordBatch};
-use crate::index::{Match, QueryStats, Refine, S3Index, StatQueryOpts};
-use crate::kernels;
+use crate::fingerprint::RecordBatch;
+use crate::index::{Match, QueryStats, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
 use crate::resilience::{next_query_id, CancelCause, QueryCtx, SectionBreakers, REFINE_CHUNK};
 use crate::sketch::{Sketch, SketchParams, DEFAULT_SKETCH_BITS};
 use crate::storage::{FileStorage, Storage};
 use s3_hilbert::{HilbertCurve, Key256, KeyBound, KeyRange};
-use s3_obs::{event, span, BlockExplain, ExplainPhase, ExplainReport, LocalHistogram, QueryScope};
+use s3_obs::{event, span, ExplainPhase, ExplainReport, LocalHistogram, QueryScope};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -963,7 +961,8 @@ impl DiskIndex {
     /// Runs a batch of statistical queries through the pseudo-disk engine.
     ///
     /// `mem_budget` bounds the bytes of record data resident at once (one
-    /// section). Queries use the best-first filter with `opts`.
+    /// section). Queries are filtered with `opts.algo` (best-first by
+    /// default) and refined with `opts.refine`.
     pub fn stat_query_batch(
         &self,
         queries: &[&[u8]],
@@ -971,8 +970,14 @@ impl DiskIndex {
         opts: &StatQueryOpts,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        self.stat_query_batch_inner(queries, model, opts, mem_budget, None, false)
-            .map(|(batch, _)| batch)
+        self.run_batch(
+            queries,
+            Selection::Stat(model, opts),
+            mem_budget,
+            None,
+            false,
+        )
+        .map(|(batch, ..)| batch)
     }
 
     /// As [`DiskIndex::stat_query_batch`] under a [`QueryCtx`]: the batch
@@ -989,8 +994,14 @@ impl DiskIndex {
         mem_budget: u64,
         ctx: &QueryCtx,
     ) -> Result<BatchResult, IndexError> {
-        self.stat_query_batch_inner(queries, model, opts, mem_budget, Some(ctx), false)
-            .map(|(batch, _)| batch)
+        self.run_batch(
+            queries,
+            Selection::Stat(model, opts),
+            mem_budget,
+            Some(ctx),
+            false,
+        )
+        .map(|(batch, ..)| batch)
     }
 
     /// As [`DiskIndex::stat_query_batch_ctx`] with per-query EXPLAIN
@@ -1008,74 +1019,8 @@ impl DiskIndex {
         mem_budget: u64,
         ctx: Option<&QueryCtx>,
     ) -> Result<(BatchResult, Vec<ExplainReport>), IndexError> {
-        let (batch, reports) =
-            self.stat_query_batch_inner(queries, model, opts, mem_budget, ctx, true)?;
-        Ok((batch, reports.unwrap_or_default()))
-    }
-
-    fn stat_query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        model: &dyn DistortionModel,
-        opts: &StatQueryOpts,
-        mem_budget: u64,
-        ctx: Option<&QueryCtx>,
-        explain: bool,
-    ) -> Result<(BatchResult, Option<Vec<ExplainReport>>), IndexError> {
-        let stat = StatInfo {
-            alpha: opts.alpha,
-            depth: opts.depth,
-            explain,
-        };
-        self.query_batch_inner(
-            queries,
-            mem_budget,
-            opts.refine,
-            Some(model),
-            ctx,
-            Some(stat),
-            opts.sketch,
-            None,
-            |q| {
-                let outcome = match ctx {
-                    Some(ctx) => select_blocks_best_first_cancellable(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                        opts.mass_cache,
-                        ctx,
-                    ),
-                    None if opts.mass_cache => select_blocks_best_first(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                    None => select_blocks_best_first_uncached(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                };
-                let stats = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: outcome.mass,
-                    tmax: outcome.tmax,
-                    truncated: outcome.truncated,
-                    ..QueryStats::default()
-                };
-                (outcome, stats)
-            },
-        )
+        self.run_batch(queries, Selection::Stat(model, opts), mem_budget, ctx, true)
+            .map(|(batch, _, reports)| (batch, reports))
     }
 
     /// Runs a batch of ε-range queries through the pseudo-disk engine.
@@ -1086,7 +1031,14 @@ impl DiskIndex {
         depth: u32,
         mem_budget: u64,
     ) -> Result<BatchResult, IndexError> {
-        self.range_query_batch_inner(queries, eps, depth, mem_budget, None)
+        self.run_batch(
+            queries,
+            Selection::Range { eps, depth },
+            mem_budget,
+            None,
+            false,
+        )
+        .map(|(batch, ..)| batch)
     }
 
     /// As [`DiskIndex::range_query_batch`] under a [`QueryCtx`]. The range
@@ -1101,193 +1053,164 @@ impl DiskIndex {
         mem_budget: u64,
         ctx: &QueryCtx,
     ) -> Result<BatchResult, IndexError> {
-        self.range_query_batch_inner(queries, eps, depth, mem_budget, Some(ctx))
-    }
-
-    fn range_query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        eps: f64,
-        depth: u32,
-        mem_budget: u64,
-        ctx: Option<&QueryCtx>,
-    ) -> Result<BatchResult, IndexError> {
-        self.query_batch_inner(
+        self.run_batch(
             queries,
+            Selection::Range { eps, depth },
             mem_budget,
-            Refine::Range(eps),
-            None,
-            ctx,
-            None,
-            true,
-            None,
-            |q| {
-                let outcome = select_blocks_range(&self.curve, q, depth, eps, usize::MAX);
-                let stats = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: f64::NAN,
-                    ..QueryStats::default()
-                };
-                (outcome, stats)
-            },
+            Some(ctx),
+            false,
         )
-        .map(|(batch, _)| batch)
+        .map(|(batch, ..)| batch)
     }
 
-    /// Runs the scan stages of a batch against **pre-computed** per-query
-    /// key ranges, skipping stage-1 filtering entirely. This is the shard
-    /// replica entry point: the shard router runs the (database-independent)
-    /// filter once and hands every replica the same merged ranges, so the
-    /// per-replica scan stays bit-identical to the single-node scan over
-    /// this replica's slice of the records. Filter-derived counters
-    /// (`nodes_expanded`, `mass`, …) are left zeroed — the router owns them
-    /// — and the per-query registry recording (`record_query`,
-    /// `record_calibration`) is suppressed so a sharded batch is folded
-    /// into the metrics exactly once, by the router.
-    #[allow(clippy::too_many_arguments)] // mirrors query_batch_inner's knob set
-    pub(crate) fn scan_prepared_ctx(
+    /// The one body of the batch entry points: plan every query, scan the
+    /// plan, fold the batch into the registry and (with `explain`, for
+    /// statistical selections) build the EXPLAIN reports. Also returns the
+    /// plan's key ranges, so a caller holding more records — the durable
+    /// overlay — scans the same plan instead of filtering again.
+    pub(crate) fn run_batch(
         &self,
         queries: &[&[u8]],
-        ranges: &[Vec<KeyRange>],
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
+        sel: Selection<'_>,
         mem_budget: u64,
-        use_sketch: bool,
         ctx: Option<&QueryCtx>,
-    ) -> Result<BatchResult, IndexError> {
-        debug_assert_eq!(queries.len(), ranges.len());
-        self.query_batch_inner(
-            queries,
-            mem_budget,
-            refine,
-            model,
-            ctx,
-            None,
-            use_sketch,
-            Some(ranges),
-            |_| unreachable!("prepared scan never filters"),
-        )
-        .map(|(batch, _)| batch)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn query_batch_inner(
-        &self,
-        queries: &[&[u8]],
-        mem_budget: u64,
-        refine: Refine,
-        model: Option<&dyn DistortionModel>,
-        ctx: Option<&QueryCtx>,
-        stat: Option<StatInfo>,
-        use_sketch: bool,
-        prepared: Option<&[Vec<KeyRange>]>,
-        filter: impl Fn(&[u8]) -> (FilterOutcome, QueryStats),
-    ) -> Result<(BatchResult, Option<Vec<ExplainReport>>), IndexError> {
-        let r = self
-            .pick_sections(mem_budget)
-            .ok_or_else(|| IndexError::BudgetTooSmall {
-                budget: mem_budget,
-                min_section_bytes: self.min_section_bytes(),
-            })?;
-        let n_sections = 1usize << r;
-        let should_stop = || ctx.is_some_and(|c| c.should_stop());
+        explain: bool,
+    ) -> Result<PlannedBatch, IndexError> {
+        let r = self.sections_for(mem_budget)?;
         // Every span emitted while this batch runs carries one query id —
         // the ctx's if the caller provided one, a fresh one otherwise —
         // so sinked span streams regroup into per-batch trees.
-        let batch_id = ctx.map(|c| c.id()).unwrap_or_else(next_query_id);
+        let batch_id = ctx.map_or_else(next_query_id, QueryCtx::id);
         let _scope = QueryScope::enter_inherit(batch_id);
-        let want_explain = stat.as_ref().is_some_and(|s| s.explain);
-
-        // Stage 1: database-independent filtering for every query.
-        let metrics = CoreMetrics::get();
-        let t0 = Instant::now();
-        let mut per_query_ranges: Vec<Vec<KeyRange>> = Vec::with_capacity(queries.len());
-        let mut stats: Vec<QueryStats> = Vec::with_capacity(queries.len());
-        // Explain-only bookkeeping (None on the production path, so the
-        // block lists drop right after range merging as before).
-        let mut outcomes: Vec<Option<FilterOutcome>> = Vec::new();
-        let mut filter_ns: Vec<u64> = Vec::new();
-        // Prepared path: the caller (shard router) already filtered; adopt
-        // its ranges verbatim so every replica scans the identical plan.
-        // EXPLAIN capture is router-side only on this path.
-        if let Some(pre) = prepared {
-            debug_assert!(!want_explain, "prepared scans never capture explain");
-            for (qi, q) in queries.iter().enumerate() {
-                if q.len() != self.curve.dims() {
-                    return Err(IndexError::QueryDims {
-                        expected: self.curve.dims(),
-                        got: q.len(),
-                    });
-                }
-                if should_stop() {
-                    per_query_ranges.push(Vec::new());
-                    stats.push(QueryStats {
-                        cancelled: true,
-                        ..QueryStats::default()
-                    });
-                    continue;
-                }
-                per_query_ranges.push(pre[qi].clone());
-                stats.push(QueryStats::default());
-            }
-        }
-        for (qi, q) in queries.iter().enumerate() {
-            if prepared.is_some() {
-                break;
-            }
-            if q.len() != self.curve.dims() {
-                return Err(IndexError::QueryDims {
-                    expected: self.curve.dims(),
-                    got: q.len(),
-                });
-            }
-            // A fired token skips the remaining filters outright: those
-            // queries come back empty, flagged `cancelled`.
-            if should_stop() {
-                per_query_ranges.push(Vec::new());
-                stats.push(QueryStats {
-                    cancelled: true,
-                    ..QueryStats::default()
-                });
-                if want_explain {
-                    outcomes.push(None);
-                    filter_ns.push(0);
-                }
-                continue;
-            }
-            let tq = Instant::now();
-            let (outcome, mut st) = {
-                let mut sp = span!("query.filter", "qi" => qi as f64);
-                let (outcome, st) = filter(q);
-                sp.record("blocks", outcome.blocks.len() as f64);
-                sp.record("mass", outcome.mass);
-                (outcome, st)
-            };
-            // Conservative: if the token fired while this filter ran, its
-            // selection may be partial — flag it even if it just finished.
-            if should_stop() {
-                st.cancelled = true;
-            }
-            per_query_ranges.push(merge_block_ranges(&self.curve, &outcome));
-            stats.push(st);
-            if want_explain {
-                filter_ns.push(tq.elapsed().as_nanos() as u64);
-                outcomes.push(Some(outcome));
-            }
-        }
-        let filter_time = t0.elapsed();
-        // Per-query (scanned, matched) accumulators parallel to each
-        // outcome's block list.
-        let mut block_acc: Vec<Vec<(u64, u64)>> = if want_explain {
-            outcomes
+        let plan = plan_batch(&self.curve, queries, sel, ctx, explain)?;
+        let mut reports: Vec<ExplainReport> = match sel {
+            Selection::Stat(_, opts) if explain => plan
+                .outcomes
                 .iter()
-                .map(|o| vec![(0, 0); o.as_ref().map_or(0, |o| o.blocks.len())])
-                .collect()
-        } else {
-            Vec::new()
+                .zip(&plan.filter_ns)
+                .map(|(outcome, &ns)| plan_report(outcome.as_ref(), opts, batch_id, ns))
+                .collect(),
+            _ => Vec::new(),
         };
-        let mut refine_ns: Vec<u64> = vec![0; if want_explain { queries.len() } else { 0 }];
+        let want_reports = !reports.is_empty();
+        let (batch, refine_ns) = self.scan(
+            r,
+            queries,
+            &plan,
+            ctx,
+            want_reports.then_some(&mut reports[..]),
+        )?;
+
+        // Fold the batch into the registry: per-query work counters plus
+        // the amortised per-query latency `T_tot = T + T_load/N_sig` (eq. 5),
+        // and for statistical queries the always-on selectivity
+        // calibration: the filter's achieved mass vs. the database fraction
+        // refinement actually visited — the paper's capture invariant, live.
+        let metrics = CoreMetrics::get();
+        let per_query = batch.timing.per_query(queries.len());
+        for st in &batch.stats {
+            metrics.record_query(st, per_query);
+            if let Selection::Stat(_, opts) = sel {
+                metrics.record_calibration(
+                    st.mass,
+                    opts.alpha,
+                    st.entries_scanned,
+                    self.n as usize,
+                );
+            }
+        }
+
+        let load_ns = (batch.timing.load.as_nanos() / queries.len().max(1) as u128) as u64;
+        for (qi, rep) in reports.iter_mut().enumerate() {
+            let st = &batch.stats[qi];
+            scan_report(rep, st, batch.matches[qi].len(), self.n);
+            rep.phases.push(ExplainPhase {
+                name: "load",
+                ns: load_ns,
+            });
+            rep.phases.push(ExplainPhase {
+                name: "refine",
+                ns: refine_ns[qi],
+            });
+            if st.sections_skipped > 0 {
+                rep.annotations.push(format!(
+                    "{} section(s) skipped — per-block counts may not reconcile",
+                    st.sections_skipped
+                ));
+            }
+            if batch.timing.breaker_skips > 0 {
+                rep.annotations.push(format!(
+                    "circuit breaker skipped {} section load(s) in this batch",
+                    batch.timing.breaker_skips
+                ));
+            }
+            if st.cancelled {
+                rep.annotations.push(stop_annotation(ctx));
+            }
+        }
+        Ok((batch, plan.ranges, reports))
+    }
+
+    /// Runs the scan stage of a batch against a plan made elsewhere. This
+    /// is the shard replica entry point: the shard router plans once and
+    /// hands every replica the same plan, so the per-replica scan stays
+    /// bit-identical to the single-node scan over this replica's slice of
+    /// the records. Nothing is recorded per query here — a sharded batch is
+    /// folded into the metrics exactly once, by the router; physical I/O
+    /// metrics (section loads, bytes, retries) stay per-replica, since they
+    /// measure work actually done.
+    pub(crate) fn scan_prepared_ctx(
+        &self,
+        queries: &[&[u8]],
+        plan: &BatchPlan<'_>,
+        mem_budget: u64,
+        ctx: Option<&QueryCtx>,
+    ) -> Result<BatchResult, IndexError> {
+        debug_assert_eq!(queries.len(), plan.ranges.len());
+        let r = self.sections_for(mem_budget)?;
+        let _scope = QueryScope::enter_inherit(ctx.map_or_else(next_query_id, QueryCtx::id));
+        // A replica that starts past the stop scans nothing: its queries
+        // come back empty, flagged `cancelled`.
+        let stopped;
+        let plan = if ctx.is_some_and(QueryCtx::should_stop) {
+            stopped = plan.stopped();
+            &stopped
+        } else {
+            plan
+        };
+        self.scan(r, queries, plan, ctx, None)
+            .map(|(batch, _)| batch)
+    }
+
+    /// The section split `r` of a batch under `mem_budget`.
+    fn sections_for(&self, mem_budget: u64) -> Result<u32, IndexError> {
+        self.pick_sections(mem_budget)
+            .ok_or_else(|| IndexError::BudgetTooSmall {
+                budget: mem_budget,
+                min_section_bytes: self.min_section_bytes(),
+            })
+    }
+
+    /// Stage 2 of a batch: streams the sections (of a `2^r` split) that the
+    /// plan's ranges touch, retrying and degrading as configured, and
+    /// refines each query's ranges in each loaded section. With `reports`,
+    /// also accounts each selected block's scanned and matched records into
+    /// them and returns every query's refine time in ns (an empty vector
+    /// otherwise).
+    fn scan(
+        &self,
+        r: u32,
+        queries: &[&[u8]],
+        plan: &BatchPlan<'_>,
+        ctx: Option<&QueryCtx>,
+        mut reports: Option<&mut [ExplainReport]>,
+    ) -> Result<(BatchResult, Vec<u64>), IndexError> {
+        let n_sections = 1usize << r;
+        let should_stop = || ctx.is_some_and(QueryCtx::should_stop);
+        let metrics = CoreMetrics::get();
+        let per_query_ranges = &plan.ranges;
+        let mut stats = plan.stats.clone();
+        let mut refine_ns: Vec<u64> = vec![0; if reports.is_some() { queries.len() } else { 0 }];
 
         // Assign each (query, range) to the sections it intersects.
         let mut section_work: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_sections];
@@ -1309,16 +1232,10 @@ impl DiskIndex {
             }
         }
 
-        // Stage 2: stream sections, retrying and degrading as configured.
-        // Range refinement uses the exact integer bound so the distance
-        // kernel can abandon a record mid-vector (see `S3Index::refine_scan`).
-        let range_bound = match refine {
-            Refine::Range(eps) => kernels::bound_from_eps_sq(eps * eps),
-            _ => None,
-        };
+        // Stream sections, retrying and degrading as configured.
         let mut matches: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
         let mut timing = BatchTiming {
-            filter: filter_time,
+            filter: plan.filter,
             ..BatchTiming::default()
         };
         let mut section = SectionBuf::default();
@@ -1370,8 +1287,8 @@ impl DiskIndex {
             // negative (no stats degradation, no I/O, bit-identical
             // matches). An inconclusive consult (budget exhausted, a cell
             // present) falls through to the normal load.
-            if let Some(sk) = self.sketch.as_ref().filter(|_| use_sketch) {
-                if self.sketch_rules_out(sk, r, s, work, &per_query_ranges) {
+            if let Some(sk) = self.sketch.as_ref().filter(|_| plan.sel.sketch()) {
+                if self.sketch_rules_out(sk, r, s, work, per_query_ranges) {
                     timing.sketch_skips += 1;
                     metrics.sketch_section_skips.inc();
                     let mut prev = u32::MAX;
@@ -1468,7 +1385,7 @@ impl DiskIndex {
             let refine_group = |g: usize| -> GroupResult {
                 let (lo_w, hi_w) = groups[g];
                 let qi = work[lo_w].0 as usize;
-                let q = queries[qi];
+                let mut pred = plan.sel.refine().predicate(queries[qi], plan.sel.model());
                 let t_group = Instant::now();
                 let mut sp = span!("query.refine", "qi" => qi as f64);
                 let mut out = GroupResult {
@@ -1497,25 +1414,7 @@ impl DiskIndex {
                         }
                         out.entries += 1;
                         let fp = section_ref.fingerprint(self.curve.dims(), i);
-                        let keep = match refine {
-                            Refine::All => Some(None),
-                            Refine::Range(_) => range_bound
-                                .and_then(|bound| kernels::dist_sq_within(q, fp, bound))
-                                .map(|d2| Some(d2 as f64)),
-                            Refine::LogLikelihood(bound) => {
-                                let Some(model) = model else {
-                                    unreachable!("likelihood refinement needs a model")
-                                };
-                                let delta: Vec<f64> = q
-                                    .iter()
-                                    .zip(fp)
-                                    .map(|(&a, &b)| f64::from(b) - f64::from(a))
-                                    .collect();
-                                (model.log_pdf(&delta) >= bound)
-                                    .then(|| Some(dist_sq(q, fp) as f64))
-                            }
-                        };
-                        if let Some(dist_sq) = keep {
+                        if let Some(dist_sq) = pred.test(fp) {
                             out.matches.push(Match {
                                 index: (a as usize) + i,
                                 id: section_ref.ids[i],
@@ -1543,7 +1442,7 @@ impl DiskIndex {
                 }
                 out
             };
-            let lens_before: Vec<usize> = if want_explain {
+            let lens_before: Vec<usize> = if reports.is_some() {
                 matches.iter().map(Vec::len).collect()
             } else {
                 Vec::new()
@@ -1556,8 +1455,8 @@ impl DiskIndex {
                         if gr.cancelled {
                             stats[gr.qi].cancelled = true;
                         }
-                        if want_explain {
-                            refine_ns[gr.qi] += gr.elapsed_ns;
+                        if let Some(ns) = refine_ns.get_mut(gr.qi) {
+                            *ns += gr.elapsed_ns;
                         }
                         matches[gr.qi].extend(gr.matches);
                     }
@@ -1569,13 +1468,9 @@ impl DiskIndex {
                     }
                 }
             }
-            if want_explain {
-                // Per-block accounting for this section: locating each
-                // selected block's key range against the loaded keys gives
-                // the records refinement scanned for it (blocks tile the
-                // merged scan ranges exactly); new matches are attributed
-                // to the unique block whose global record interval contains
-                // them (depth-p blocks are disjoint).
+            if let Some(reports) = reports.as_deref_mut() {
+                // Per-block accounting for this section, each block's key
+                // range located against the loaded keys.
                 let mut prev = u32::MAX;
                 for &(qi0, _) in work {
                     if qi0 == prev {
@@ -1583,27 +1478,15 @@ impl DiskIndex {
                     }
                     prev = qi0;
                     let qi = qi0 as usize;
-                    let Some(outcome) = outcomes[qi].as_ref() else {
-                        continue;
-                    };
-                    let mut intervals: Vec<(usize, usize, usize)> =
-                        Vec::with_capacity(outcome.blocks.len());
-                    for (bi, sb) in outcome.blocks.iter().enumerate() {
-                        let (lo, hi) = section.locate(&sb.block.key_range(&self.curve));
-                        if hi > lo {
-                            block_acc[qi][bi].0 += (hi - lo) as u64;
-                            intervals.push((a as usize + lo, a as usize + hi, bi));
-                        }
-                    }
-                    intervals.sort_unstable();
-                    for m in &matches[qi][lens_before[qi]..] {
-                        let p = intervals.partition_point(|&(start, _, _)| start <= m.index);
-                        if p > 0 {
-                            let (start, end, bi) = intervals[p - 1];
-                            if m.index >= start && m.index < end {
-                                block_acc[qi][bi].1 += 1;
-                            }
-                        }
+                    if let Some(outcome) = plan.outcomes[qi].as_ref() {
+                        account_blocks(
+                            &self.curve,
+                            outcome,
+                            a as usize,
+                            |range| section.locate(range),
+                            &matches[qi][lens_before[qi]..],
+                            &mut reports[qi].blocks,
+                        );
                     }
                 }
             }
@@ -1630,127 +1513,6 @@ impl DiskIndex {
             }
         }
 
-        // Fold the batch into the registry: per-query work counters plus
-        // the amortised per-query latency `T_tot = T + T_load/N_sig` (eq. 5).
-        // A prepared (per-shard) scan is one fragment of a larger logical
-        // batch — the shard router records the merged stats once, so a
-        // replica must not also count its fragment here. Physical I/O
-        // metrics above (section loads, bytes, retries) stay per-replica:
-        // they measure work actually done.
-        if prepared.is_none() {
-            let per_query = timing.per_query(queries.len());
-            for st in &stats {
-                metrics.record_query(st, per_query);
-            }
-            // Always-on selectivity calibration for statistical queries: the
-            // filter's achieved mass vs. the database fraction refinement
-            // actually visited — the paper's capture invariant, live.
-            if let Some(si) = &stat {
-                for st in &stats {
-                    metrics.record_calibration(
-                        st.mass,
-                        si.alpha,
-                        st.entries_scanned,
-                        self.n as usize,
-                    );
-                }
-            }
-        }
-
-        let reports = if want_explain {
-            let Some(si) = &stat else {
-                unreachable!("explain implies stat info")
-            };
-            let load_ns = (timing.load.as_nanos() / queries.len().max(1) as u128) as u64;
-            let mut reports = Vec::with_capacity(queries.len());
-            for (qi, st) in stats.iter().enumerate() {
-                let mut rep = ExplainReport {
-                    query_id: batch_id,
-                    alpha: si.alpha,
-                    depth: si.depth,
-                    entries_scanned: st.entries_scanned as u64,
-                    matches: matches[qi].len() as u64,
-                    sketch_skipped: st.sketch_skipped as u64,
-                    observed_selectivity: if self.n > 0 {
-                        st.entries_scanned as f64 / self.n as f64
-                    } else {
-                        0.0
-                    },
-                    phases: vec![
-                        ExplainPhase {
-                            name: "filter",
-                            ns: filter_ns[qi],
-                        },
-                        ExplainPhase {
-                            name: "load",
-                            ns: load_ns,
-                        },
-                        ExplainPhase {
-                            name: "refine",
-                            ns: refine_ns[qi],
-                        },
-                    ],
-                    ..ExplainReport::default()
-                };
-                if let Some(outcome) = &outcomes[qi] {
-                    rep.algo = outcome.algo;
-                    rep.tmax = outcome.tmax.unwrap_or(0.0);
-                    rep.iterations = outcome.iterations;
-                    rep.predicted_mass = outcome.mass;
-                    rep.blocks = outcome
-                        .blocks
-                        .iter()
-                        .zip(&block_acc[qi])
-                        .map(|(sb, &(scanned, matched))| BlockExplain {
-                            depth: sb.block.depth(),
-                            predicted_mass: sb.score,
-                            scanned,
-                            matched,
-                        })
-                        .collect();
-                    if outcome.truncated {
-                        rep.annotations
-                            .push("block budget truncated selection before reaching α".into());
-                    }
-                    if outcome.mass.is_finite() && outcome.mass < si.alpha - 1e-9 {
-                        rep.annotations.push(format!(
-                            "achieved mass {:.4} below requested α {:.4}",
-                            outcome.mass, si.alpha
-                        ));
-                    }
-                } else {
-                    rep.annotations
-                        .push("cancelled before filtering — empty plan".into());
-                }
-                if st.sections_skipped > 0 {
-                    rep.annotations.push(format!(
-                        "{} section(s) skipped — per-block counts may not reconcile",
-                        st.sections_skipped
-                    ));
-                }
-                if timing.breaker_skips > 0 {
-                    rep.annotations.push(format!(
-                        "circuit breaker skipped {} section load(s) in this batch",
-                        timing.breaker_skips
-                    ));
-                }
-                if st.cancelled {
-                    rep.annotations
-                        .push(match ctx.and_then(|c| c.stop_cause()) {
-                            Some(CancelCause::DeadlineExceeded) => {
-                                "deadline exceeded — partial scan".into()
-                            }
-                            Some(cause) => format!("cancelled ({cause:?}) — partial scan"),
-                            None => "cancelled — partial scan".into(),
-                        });
-                }
-                reports.push(rep);
-            }
-            Some(reports)
-        } else {
-            None
-        };
-
         Ok((
             BatchResult {
                 matches,
@@ -1758,7 +1520,7 @@ impl DiskIndex {
                 timing,
                 sections: n_sections,
             },
-            reports,
+            refine_ns,
         ))
     }
 
@@ -1868,14 +1630,9 @@ impl DiskIndex {
     }
 }
 
-/// Statistical-query parameters the batch engine needs beyond the filter
-/// closure itself: α and depth feed calibration telemetry and (when
-/// `explain` is set) the per-query [`ExplainReport`]s.
-struct StatInfo {
-    alpha: f64,
-    depth: u32,
-    explain: bool,
-}
+/// A batch's result, the key ranges its plan scanned (per query) and its
+/// EXPLAIN reports (empty unless requested).
+pub(crate) type PlannedBatch = (BatchResult, Vec<Vec<KeyRange>>, Vec<ExplainReport>);
 
 /// Refinement output of one query's contiguous run of ranges within a
 /// section — the unit merged back into per-query results in input order.
@@ -1941,6 +1698,7 @@ mod tests {
     use super::*;
     use crate::distortion::IsotropicNormal;
     use crate::fingerprint::RecordBatch;
+    use crate::index::Refine;
     use crate::storage::{FaultPlan, FaultyStorage, MemStorage};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -2163,16 +1921,6 @@ mod tests {
                 .collect();
             assert_eq!(am, bm, "query {qi} match order must be identical");
             assert_eq!(a.stats[qi], b.stats[qi]);
-        }
-        // Uncached filter must agree too (bit-identical masses).
-        let mut unc = opts;
-        unc.mass_cache = false;
-        let c = seq
-            .stat_query_batch(&qrefs, &model, &unc, 500 * 44)
-            .unwrap();
-        for qi in 0..queries.len() {
-            assert_eq!(a.stats[qi], c.stats[qi]);
-            assert_eq!(a.matches[qi].len(), c.matches[qi].len());
         }
         cleanup(&path);
     }

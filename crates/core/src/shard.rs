@@ -33,10 +33,7 @@
 
 use crate::distortion::DistortionModel;
 use crate::error::IndexError;
-use crate::filter::{
-    merge_block_ranges, select_blocks_best_first, select_blocks_best_first_cancellable,
-    select_blocks_best_first_uncached, FilterOutcome,
-};
+use crate::filter::{plan_batch, plan_report, scan_report, stop_annotation, Selection};
 use crate::fingerprint::RecordBatch;
 use crate::index::{Match, QueryStats, S3Index, StatQueryOpts};
 use crate::metrics::CoreMetrics;
@@ -520,7 +517,9 @@ impl ShardedIndex {
         &self.breakers
     }
 
-    /// Runs a batch of statistical queries across every shard.
+    /// Runs a batch of statistical queries across every shard. The router
+    /// plans each query once, with `opts.algo`, and every replica scans
+    /// that plan.
     pub fn stat_query_batch(
         &self,
         queries: &[&[u8]],
@@ -577,87 +576,18 @@ impl ShardedIndex {
         let _scope = QueryScope::enter_inherit(batch_id);
         let should_stop = || ctx.is_some_and(|c| c.should_stop());
 
-        // Stage 1 — run the database-independent filter ONCE per query.
-        // Every replica receives these exact merged ranges, which is what
-        // makes the per-shard scans bit-identical to the single-node scan.
-        let t0 = Instant::now();
-        let mut per_query_ranges: Vec<Vec<KeyRange>> = Vec::with_capacity(queries.len());
-        let mut stats: Vec<QueryStats> = Vec::with_capacity(queries.len());
-        let mut outcomes: Vec<Option<FilterOutcome>> = Vec::new();
-        let mut filter_ns: Vec<u64> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            if q.len() != self.curve.dims() {
-                return Err(IndexError::QueryDims {
-                    expected: self.curve.dims(),
-                    got: q.len(),
-                });
-            }
-            if should_stop() {
-                per_query_ranges.push(Vec::new());
-                stats.push(QueryStats {
-                    cancelled: true,
-                    ..QueryStats::default()
-                });
-                if want_explain {
-                    outcomes.push(None);
-                    filter_ns.push(0);
-                }
-                continue;
-            }
-            let tq = Instant::now();
-            let (outcome, mut st) = {
-                let mut sp = span!("query.filter", "qi" => qi as f64);
-                let outcome = match ctx {
-                    Some(ctx) => select_blocks_best_first_cancellable(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                        opts.mass_cache,
-                        ctx,
-                    ),
-                    None if opts.mass_cache => select_blocks_best_first(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                    None => select_blocks_best_first_uncached(
-                        &self.curve,
-                        model,
-                        q,
-                        opts.depth,
-                        opts.alpha,
-                        opts.max_blocks,
-                    ),
-                };
-                sp.record("blocks", outcome.blocks.len() as f64);
-                sp.record("mass", outcome.mass);
-                let st = QueryStats {
-                    nodes_expanded: outcome.nodes_expanded,
-                    blocks_selected: outcome.blocks.len(),
-                    mass: outcome.mass,
-                    tmax: outcome.tmax,
-                    truncated: outcome.truncated,
-                    ..QueryStats::default()
-                };
-                (outcome, st)
-            };
-            if should_stop() {
-                st.cancelled = true;
-            }
-            per_query_ranges.push(merge_block_ranges(&self.curve, &outcome));
-            stats.push(st);
-            if want_explain {
-                filter_ns.push(tq.elapsed().as_nanos() as u64);
-                outcomes.push(Some(outcome));
-            }
-        }
-        let filter_time = t0.elapsed();
+        // Stage 1 — plan every query ONCE. Every replica scans this exact
+        // plan, which is what makes the per-shard scans bit-identical to the
+        // single-node scan.
+        let plan = plan_batch(
+            &self.curve,
+            queries,
+            Selection::Stat(model, opts),
+            ctx,
+            want_explain,
+        )?;
+        let per_query_ranges = &plan.ranges;
+        let mut stats = plan.stats.clone();
 
         // Which shards does this batch touch at all? Dispatch only those.
         let dispatch: Vec<usize> = (0..self.plan.shards())
@@ -674,12 +604,10 @@ impl ShardedIndex {
         // each coordinator races replica attempts (primary, failovers,
         // hedges) and reports a single winner or a loss.
         let t_scatter = Instant::now();
-        let refine = opts.refine;
-        let use_sketch = opts.sketch;
         let mem_budget = self.opts.mem_budget;
         let hedge_cfg = &self.opts.hedge;
         let budget_factor = self.opts.shard_budget_factor;
-        let ranges_ref: &[Vec<KeyRange>] = &per_query_ranges;
+        let plan_ref = &plan;
         let outcomes_by_shard: Vec<(usize, ShardOutcome)> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(dispatch.len());
             for &s in &dispatch {
@@ -722,11 +650,8 @@ impl ShardedIndex {
                             scope.spawn(move || {
                                 let res = replica.scan_prepared_ctx(
                                     queries,
-                                    ranges_ref,
-                                    refine,
-                                    Some(model),
+                                    plan_ref,
                                     mem_budget,
-                                    use_sketch,
                                     Some(&child),
                                 );
                                 // The coordinator may have already returned with
@@ -871,7 +796,7 @@ impl ShardedIndex {
 
         // Stage 3 — deterministic merge.
         let mut timing = BatchTiming {
-            filter: filter_time,
+            filter: plan.filter,
             ..BatchTiming::default()
         };
         let mut matches: Vec<Vec<Match>> = vec![Vec::new(); queries.len()];
@@ -980,7 +905,7 @@ impl ShardedIndex {
                     self.mark_shard_skipped(
                         s,
                         key_bits,
-                        &per_query_ranges,
+                        per_query_ranges,
                         &mut stats,
                         want_explain.then_some(&mut explain_rows),
                         false,
@@ -1005,7 +930,7 @@ impl ShardedIndex {
                     self.mark_shard_skipped(
                         s,
                         key_bits,
-                        &per_query_ranges,
+                        per_query_ranges,
                         &mut stats,
                         want_explain.then_some(&mut explain_rows),
                         true,
@@ -1064,48 +989,22 @@ impl ShardedIndex {
             let scatter_ns = (scatter_time.as_nanos() / queries.len().max(1) as u128) as u64;
             let mut out = Vec::with_capacity(queries.len());
             for (qi, st) in stats.iter().enumerate() {
-                let mut rep = ExplainReport {
-                    query_id: batch_id,
-                    alpha: opts.alpha,
-                    depth: opts.depth,
-                    entries_scanned: st.entries_scanned as u64,
-                    matches: matches[qi].len() as u64,
-                    sketch_skipped: st.sketch_skipped as u64,
-                    observed_selectivity: if self.n > 0 {
-                        st.entries_scanned as f64 / self.n as f64
-                    } else {
-                        0.0
-                    },
-                    shards: std::mem::take(&mut explain_rows[qi]),
-                    phases: vec![
-                        ExplainPhase {
-                            name: "filter",
-                            ns: filter_ns[qi],
-                        },
-                        ExplainPhase {
-                            name: "scatter",
-                            ns: scatter_ns,
-                        },
-                        ExplainPhase {
-                            name: "load",
-                            ns: load_ns,
-                        },
-                    ],
-                    ..ExplainReport::default()
-                };
-                if let Some(outcome) = &outcomes[qi] {
-                    rep.algo = outcome.algo;
-                    rep.tmax = outcome.tmax.unwrap_or(0.0);
-                    rep.iterations = outcome.iterations;
-                    rep.predicted_mass = outcome.mass;
-                    if outcome.truncated {
-                        rep.annotations
-                            .push("block budget truncated selection before reaching α".into());
-                    }
-                } else {
-                    rep.annotations
-                        .push("cancelled before filtering — empty plan".into());
-                }
+                let mut rep = plan_report(
+                    plan.outcomes[qi].as_ref(),
+                    opts,
+                    batch_id,
+                    plan.filter_ns[qi],
+                );
+                scan_report(&mut rep, st, matches[qi].len(), self.n);
+                rep.shards = std::mem::take(&mut explain_rows[qi]);
+                rep.phases.push(ExplainPhase {
+                    name: "scatter",
+                    ns: scatter_ns,
+                });
+                rep.phases.push(ExplainPhase {
+                    name: "load",
+                    ns: load_ns,
+                });
                 if st.shard_skips > 0 {
                     rep.annotations.push(format!(
                         "{} shard(s) lost — their key ranges are missing from the answer",
@@ -1119,14 +1018,7 @@ impl ShardedIndex {
                     ));
                 }
                 if st.cancelled {
-                    rep.annotations
-                        .push(match ctx.and_then(|c| c.stop_cause()) {
-                            Some(CancelCause::DeadlineExceeded) => {
-                                "deadline exceeded — partial scan".into()
-                            }
-                            Some(cause) => format!("cancelled ({cause:?}) — partial scan"),
-                            None => "cancelled — partial scan".into(),
-                        });
+                    rep.annotations.push(stop_annotation(ctx));
                 }
                 out.push(rep);
             }
@@ -1342,6 +1234,9 @@ mod tests {
                     backoff: Duration::ZERO,
                     strict: false, // forced strict internally anyway
                 },
+                // A frozen clock never lets the hedge delay elapse, so the
+                // backup replica can only start as a failover.
+                clock: Arc::new(MockClock::new()),
                 ..ShardedOptions::default()
             },
         )

@@ -102,7 +102,8 @@ pub struct ExplainReport {
     /// Per-shard rows of a scatter-gather query (empty on single-node
     /// runs). When present, per-block accounting is replaced by per-shard
     /// accounting: each shard's replica scanned its slice of the records,
-    /// and the shard sums must reconcile with the query totals.
+    /// and the shard sums must reconcile with the query totals. The plan's
+    /// blocks keep their predicted masses; their `scanned`/`matched` stay 0.
     pub shards: Vec<ShardExplain>,
     /// Per-phase wall-clock.
     pub phases: Vec<ExplainPhase>,
